@@ -28,7 +28,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .rankstats import SignificanceConfig, significant_difference
+from .rankstats import SignificanceConfig, _pair_signs, _significant_pairs
 
 
 class AlignmentError(ValueError):
@@ -97,16 +97,13 @@ def build_partial_order(
         raise AlignmentError("need at least one model")
     if not (np.isfinite(scores).all() and np.isfinite(stderrs).all()):
         raise AlignmentError("non-finite input")
+    if (stderrs < 0).any():
+        raise AlignmentError("standard errors must be >= 0")
     ids = _default_ids(len(scores), model_ids)
-    edges = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if significant_difference(scores[i], stderrs[i], scores[j], stderrs[j], cfg):
-                if scores[i] > scores[j]:
-                    edges.add((ids[i], ids[j]))
-                else:
-                    edges.add((ids[j], ids[i]))
-    return PartialOrder(model_ids=ids, edges=frozenset(edges))
+    signs = _pair_signs(scores, stderrs, cfg.critical_z)
+    winners, losers = _significant_pairs(signs, len(ids))
+    edges = frozenset(zip(map(ids.__getitem__, winners), map(ids.__getitem__, losers)))
+    return PartialOrder(model_ids=ids, edges=edges)
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:
@@ -119,8 +116,7 @@ def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.nda
     ids = _default_ids(len(scores), model_ids)
     order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
     ranks = np.empty(len(ids), dtype=np.int64)
-    for pos, k in enumerate(order):
-        ranks[k] = pos + 1
+    ranks[order] = np.arange(1, len(ids) + 1)
     return ranks
 
 
@@ -226,12 +222,11 @@ def rank_models(
 
 
 def crossing_count(a: AlignedRanking) -> int:
-    """Number of model pairs ranked in opposite relative order by the two tasks."""
-    models = list(a.order1)
-    n = 0
-    for i in range(len(models)):
-        for j in range(i + 1, len(models)):
-            u, v = models[i], models[j]
-            if (a.rank1[u] - a.rank1[v]) * (a.rank2[u] - a.rank2[v]) < 0:
-                n += 1
-    return n
+    """Number of model pairs ranked in opposite relative order by the two tasks.
+
+    Ranks are distinct, so every pair has sign +1 or -1 in each ranking and
+    the crossings are the pairs whose signs differ: (P - S1 . S2) / 2.
+    """
+    ranks = np.array([[a.rank1[m] for m in a.order1], [a.rank2[m] for m in a.order1]], dtype=float)
+    s1, s2 = _pair_signs(ranks, np.zeros_like(ranks), 1.0)
+    return int(np.count_nonzero(s1 != s2))

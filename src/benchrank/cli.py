@@ -7,18 +7,21 @@ compute accounting), ``simulate`` (synthetic score matrices), ``report``
 (all figure-data tables for a direct vs train-before-test pair of score
 matrices).
 
-Exit codes: 0 success, 1 usage error, 2 input validation failure,
-3 numerical degeneracy.  One machine-parsable reason line is printed to
-stderr on failure, and no artifact file is written on a nonzero exit.
+Exit codes: 0 success, 1 usage error, 2 input validation failure or an
+unwritable artifact path, 3 numerical degeneracy.  One machine-parsable
+reason line is printed to stderr on failure.  No artifact file is written
+when a run fails before writing; when writing itself fails, the files
+written before the failure (and directories created for them) remain,
+since writes are not atomic.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ from .io import (
     RunManifest,
     infer_format,
     load_benchmark_categories,
+    load_json_object,
     load_model_metadata,
     load_scores,
     render_artifact,
@@ -48,6 +52,7 @@ from .lowrank import ComputeRecord, compute_flops, explained_variance_share, fit
 from .rankstats import (
     SignificanceConfig,
     TieError,
+    _defined_mean,
     agreement_matrix,
     category_agreement,
     mean_agreement,
@@ -291,14 +296,7 @@ def _cmd_flops(args) -> list[tuple[Path, str]]:
 
 
 def _load_synth_config(path: str) -> SyntheticConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LoadError(f"{path}: file not found") from None
-    except json.JSONDecodeError as e:
-        raise LoadError(f"{path}: invalid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise LoadError(f"{path}: expected a JSON object")
+    raw = load_json_object(path)
     raw = {k: v for k, v in raw.items() if k not in ("format_version", "kind")}
     known = {f.name for f in dataclass_fields(SyntheticConfig)}
     unknown = sorted(set(raw) - known)
@@ -349,47 +347,20 @@ def _reorder_like(m: ScoreMatrix, benchmark_ids, model_ids) -> ScoreMatrix:
     )
 
 
-def _tie_adjusted_agreement(m: ScoreMatrix):
-    """Plain tau per cell, with exact binomial ties handled by tau-b counting."""
-    flat = replace(m, stderrs=np.zeros_like(m.stderrs))
-    return agreement_matrix(flat, method="tau_b", cfg=SignificanceConfig())
-
-
-def _offdiag_mean(am) -> float:
-    cells = [
-        am.values[i, j]
-        for i in range(am.n_benchmarks)
-        for j in range(i + 1, am.n_benchmarks)
-        if not am.degenerate[i, j]
-    ]
-    if not cells:
-        raise DegenerateError("every benchmark pair is degenerate")
-    return float(np.mean(cells))
-
-
 def _perplexity_block(am, ppl: list[str]) -> dict:
     """Labeled sub-table: perplexity rows against each other and against the rest."""
     ids = list(am.benchmark_ids)
     ppl_idx = [ids.index(b) for b in ppl]
     down_idx = [i for i in range(len(ids)) if i not in ppl_idx]
+    cross = list(product(ppl_idx, down_idx))
     pairs = []
-    cross = []
-    for i in ppl_idx:
-        for j in down_idx:
-            cell = None if am.degenerate[i, j] else float(am.values[i, j])
-            pairs.append({"ppl": ids[i], "benchmark": ids[j], "tau": cell})
-            if cell is not None:
-                cross.append(cell)
-    intra = [
-        float(am.values[i, j])
-        for k, i in enumerate(ppl_idx)
-        for j in ppl_idx[k + 1 :]
-        if not am.degenerate[i, j]
-    ]
+    for i, j in cross:
+        cell = None if am.degenerate[i, j] else float(am.values[i, j])
+        pairs.append({"ppl": ids[i], "benchmark": ids[j], "tau": cell})
     return {
         "ppl_benchmarks": [ids[i] for i in ppl_idx],
-        "ppl_vs_ppl_mean": float(np.mean(intra)) if intra else None,
-        "ppl_vs_downstream_mean": float(np.mean(cross)) if cross else None,
+        "ppl_vs_ppl_mean": _defined_mean(am, combinations(ppl_idx, 2))[0],
+        "ppl_vs_downstream_mean": _defined_mean(am, cross)[0],
         "pairs": pairs,
     }
 
@@ -421,7 +392,9 @@ def _cmd_report(args) -> list[tuple[Path, str]]:
         if rec.token_count is not None
     ]
     modes = {"direct": m_direct, "train_before_test": m_tbt}
-    ams = {name: _tie_adjusted_agreement(m) for name, m in modes.items()}
+    # plain tau per cell, with exact binomial ties handled by tau-b counting
+    flat = {name: replace(m, stderrs=np.zeros_like(m.stderrs)) for name, m in modes.items()}
+    ams = {name: agreement_matrix(m, "tau_b") for name, m in flat.items()}
     pcas = {name: fit_pca(m, "center") for name, m in modes.items()}
     ppl = [rec.benchmark_id for rec in cats if rec.category == "PPL" and rec.benchmark_id in m_direct.benchmark_ids]
 
@@ -433,7 +406,7 @@ def _cmd_report(args) -> list[tuple[Path, str]]:
         fig2["modes"][name] = {
             "means": [float(v) for v in means.means],
             "n_excluded": [int(k) for k in means.n_excluded],
-            "overall_mean": _offdiag_mean(am),
+            "overall_mean": _defined_mean(am)[0],
         }
     fig2["perplexity_block"] = (
         {name: _perplexity_block(am, ppl) for name, am in ams.items()} if ppl else None
@@ -528,10 +501,14 @@ def run_cli(argv=None) -> int:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: input: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    for path, text in writes:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(f"wrote {path}")
+    try:
+        for path, text in writes:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}")
+    except OSError as e:
+        print(f"error: output: {e}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

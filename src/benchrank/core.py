@@ -197,7 +197,7 @@ def validate_score_matrix(m: ScoreMatrix) -> ScoreMatrix:
         if d not in DIRECTIONS:
             raise ScoreMatrixError(f"benchmark {m.benchmark_ids[i]!r}: direction {d!r} not in {DIRECTIONS}")
     for i, n in enumerate(m.n_items):
-        if n is not None and (not isinstance(n, int) or n < 1):
+        if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
             raise ScoreMatrixError(f"benchmark {m.benchmark_ids[i]!r}: n_items must be a positive int, got {n!r}")
     for name, arr in (("score", m.scores), ("stderr", m.stderrs)):
         bad = ~np.isfinite(arr)

@@ -62,9 +62,9 @@ class RunManifest:
     """
 
     subcommand: str
+    tool_version: str
     inputs: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    tool_version: str = "0.1.0"
 
     @classmethod
     def build(cls, subcommand: str, input_paths: dict, flags: dict, tool_version: str) -> "RunManifest":
@@ -241,7 +241,8 @@ def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
     )
 
 
-def _load_scores_json(path: str | Path) -> ScoreMatrix:
+def load_json_object(path: str | Path) -> dict:
+    """Parse a JSON file whose top level is an object; any failure raises :class:`LoadError`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -250,17 +251,23 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
         raise LoadError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise LoadError(f"{path}: expected a JSON object")
+    return payload
+
+
+def _load_scores_json(path: str | Path) -> ScoreMatrix:
+    payload = load_json_object(path)
     for key in ARTIFACT_SCHEMAS["score_matrix"]:
         if key not in payload:
             raise LoadError(f"{path}: missing key {key!r}")
-    n_items = [None if n is None else int(n) for n in payload["n_items"]]
+    if not isinstance(payload["n_items"], list):
+        raise LoadError(f"{path}: n_items must be a list of integers >= 1 or null")
     try:
         return make_score_matrix(
             payload["benchmark_ids"],
             payload["model_ids"],
             payload["scores"],
             payload["stderrs"],
-            n_items=n_items,
+            n_items=payload["n_items"],
             direction=payload["direction"],
         )
     except (TypeError, ValueError) as e:
@@ -326,12 +333,7 @@ def render_artifact(payload: dict) -> str:
 
 
 def load_artifact(path: str | Path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LoadError(f"{path}: file not found") from None
-    except json.JSONDecodeError as e:
-        raise LoadError(f"{path}: invalid JSON: {e}") from None
+    payload = load_json_object(path)
     validate_artifact(payload, str(path))
     return payload
 

@@ -7,6 +7,16 @@ z-test given the standard errors, and applies the usual tie adjustment
 (C - D) / sqrt((C + D + Tx)(C + D + Ty)).  With all standard errors zero
 and no exact ties the two agree bit for bit.
 
+All of it, and the partial orders of :mod:`~benchrank.alignment`, rests
+on one kernel, ``_pair_signs``: per benchmark, +1 or -1 for each of the
+P = n(n-1)/2 model pairs whose gap is significant, 0 for a tie.  Pairs are
+concordant when their signs agree; score gaps are never multiplied (the
+product can underflow).  With S the B x P signs and N = |S|, the counts
+of all benchmark pairs are integer Gram matrices:
+C - D = S S^T, C + D = N N^T, Tx = (1 - N) N^T and Ty = Tx^T.  Summed,
+C + D + Tx for benchmarks (a, b) is the number of pairs significant on b,
+a row count of N, so tau-b needs only S S^T and those counts.
+
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
 """
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 from statistics import NormalDist
 
 import numpy as np
@@ -102,6 +113,76 @@ def _check_pair_lengths(x: np.ndarray, y: np.ndarray) -> int:
     return len(x)
 
 
+#: Elements per step of :func:`_pair_signs` and of the Gram sum in
+#: :func:`_tau_b_matrix`, bounding their temporaries.
+_PAIR_CHUNK = 1 << 13
+
+
+def _pair_signs(scores, stderrs, critical_z: float) -> np.ndarray:
+    """Sign of s_i - s_j for every model pair i < j if significant, else 0.
+
+    Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give int8
+    (B, P) or (P,) in ``np.triu_indices(M, 1)`` order.  Significant means
+    |d| / sqrt(se_i^2 + se_j^2) > critical_z, or d != 0 when that
+    denominator is 0 (so zero stderrs give plain signs for any critical_z).
+    Rows i go a block at a time, so no P-long temporary is built.
+    :func:`_significant_pairs` decodes the same pair order.
+    """
+    m = scores.shape[-1]
+    signs = np.empty(scores.shape[:-1] + (m * (m - 1) // 2,), dtype=np.int8)
+    block = max(1, _PAIR_CHUNK // max(1, scores.size))
+    done = 0
+    for a in range(0, m, block):
+        upper = np.arange(m) > np.arange(a, min(a + block, m))[:, None]
+        d = (scores[..., a : a + block, None] - scores[..., None, :])[..., upper]
+        se_i, se_j = stderrs[..., a : a + block, None], stderrs[..., None, :]
+        denom = np.sqrt(se_i * se_i + se_j * se_j)[..., upper]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            significant = np.where(denom == 0.0, d != 0.0, np.abs(d) / denom > critical_z)
+        signs[..., done : done + d.shape[-1]] = np.where(significant, np.sign(d), 0.0)
+        done += d.shape[-1]
+    return signs
+
+
+def _significant_pairs(signs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Winner and loser model indices of the nonzero entries of one row of :func:`_pair_signs`.
+
+    Pair k is (i, j) with i the last model whose first pair is <= k, so no
+    P-long index array is built.
+    """
+    first = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+    k = np.flatnonzero(signs)
+    i = np.searchsorted(first, k, side="right") - 1
+    j = k - first[i] + i + 1
+    above = signs[k] > 0
+    return np.where(above, i, j), np.where(above, j, i)
+
+
+def _tau_b_matrix(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tau-b values and degenerate mask between the rows of ``signs``.
+
+    C + D + Tx of cell (a, b) is n_sig[b] and C + D + Ty is n_sig[a], so a
+    cell is (C - D) / sqrt(n_sig[a] n_sig[b]); it is degenerate (value 0.0)
+    when either count is 0, and the diagonal is 1.  S S^T is summed over
+    column chunks, so only the int8 signs are held in full.  Every count,
+    partial sum and product is an integer below 2^53, exact in float64, so
+    the one sqrt and one division round exactly as on Python ints.
+    """
+    nb = len(signs)
+    c_minus_d = np.zeros((nb, nb))
+    step = max(1, _PAIR_CHUNK // max(1, nb))
+    for k in range(0, signs.shape[-1], step):
+        chunk = signs[:, k : k + step].astype(float)
+        c_minus_d += chunk @ chunk.T
+    n_sig = np.count_nonzero(signs, axis=-1)
+    degenerate = (n_sig[:, None] == 0) | (n_sig == 0)
+    np.fill_diagonal(degenerate, False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(degenerate, 0.0, c_minus_d / np.sqrt(np.outer(n_sig, n_sig)))
+    np.fill_diagonal(values, 1.0)
+    return values, degenerate
+
+
 def kendall_tau(x, y) -> float:
     """Plain Kendall rank correlation of two score vectors.
 
@@ -117,11 +198,8 @@ def kendall_tau(x, y) -> float:
     for name, v in (("x", x), ("y", y)):
         if len(np.unique(v)) != n:
             raise TieError(f"exact tie in {name}; plain tau is undefined under ties")
-    iu, ju = np.triu_indices(n, k=1)
-    sx = np.sign(x[iu] - x[ju]).astype(np.int64)
-    sy = np.sign(y[iu] - y[ju]).astype(np.int64)
-    c_minus_d = int(np.sum(sx * sy))
-    return c_minus_d / (n * (n - 1) // 2)
+    sx, sy = _pair_signs(np.stack([x, y]), np.zeros((2, n)), 1.0).astype(np.int64)
+    return int(sx @ sy) / (n * (n - 1) // 2)
 
 
 def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: SignificanceConfig) -> bool:
@@ -136,10 +214,9 @@ def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: Si
             raise ValueError(f"non-finite input {v!r}")
     if se1 < 0 or se2 < 0:
         raise ValueError("standard errors must be >= 0")
-    denom = math.sqrt(se1 * se1 + se2 * se2)
-    if denom == 0.0:
-        return s1 != s2
-    return abs(s1 - s2) / denom > cfg.critical_z
+    scores = np.array([s1, s2], dtype=float)
+    stderrs = np.array([se1, se2], dtype=float)
+    return bool(_pair_signs(scores, stderrs, cfg.critical_z)[0])
 
 
 def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenerate:
@@ -162,24 +239,13 @@ def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenera
     n = _check_pair_lengths(x, y)
     if len(se_x) != n or len(se_y) != n:
         raise ValueError("stderr vectors must match score vectors in length")
-    c = d = tx = ty = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            tied_x = not significant_difference(x[i], se_x[i], x[j], se_x[j], cfg)
-            tied_y = not significant_difference(y[i], se_y[i], y[j], se_y[j], cfg)
-            if tied_x and tied_y:
-                continue
-            if tied_x:
-                tx += 1
-            elif tied_y:
-                ty += 1
-            elif (x[i] - x[j]) * (y[i] - y[j]) > 0:
-                c += 1
-            else:
-                d += 1
-    if c + d + tx == 0 or c + d + ty == 0:
-        return DEGENERATE
-    return (c - d) / math.sqrt((c + d + tx) * (c + d + ty))
+    if not (np.isfinite(se_x).all() and np.isfinite(se_y).all()):
+        raise ValueError("non-finite standard error")
+    if (se_x < 0).any() or (se_y < 0).any():
+        raise ValueError("standard errors must be >= 0")
+    signs = _pair_signs(np.stack([x, y]), np.stack([se_x, se_y]), cfg.critical_z)
+    values, degenerate = _tau_b_matrix(signs)
+    return DEGENERATE if degenerate[0, 1] else float(values[0, 1])
 
 
 def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfig | None = None) -> AgreementMatrix:
@@ -195,28 +261,31 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
         raise ValueError("need at least 2 benchmarks")
     if cfg is None:
         cfg = SignificanceConfig()
-    oriented = [oriented_scores(m, b) for b in m.benchmark_ids]
+    oriented = np.stack([oriented_scores(m, b) for b in m.benchmark_ids])
+    stderrs = m.stderrs
     if method == "tau":
         for b, row in zip(m.benchmark_ids, oriented):
             if len(np.unique(row)) != len(row):
                 raise TieError(f"benchmark {b!r} has exact score ties; use tau_b")
-    nb = m.n_benchmarks
-    values = np.zeros((nb, nb), dtype=float)
-    degenerate = np.zeros((nb, nb), dtype=bool)
-    np.fill_diagonal(values, 1.0)
-    for a in range(nb - 1):
-        for b in range(a + 1, nb):
-            if method == "tau":
-                cell: float | Degenerate = kendall_tau(oriented[a], oriented[b])
-            else:
-                cell = kendall_tau_b(oriented[a], m.stderrs[a], oriented[b], m.stderrs[b], cfg)
-            if isinstance(cell, Degenerate):
-                degenerate[a, b] = degenerate[b, a] = True
-            else:
-                values[a, b] = values[b, a] = cell
+        # tie-free rows with zero stderrs: tau-b reduces to plain tau bit for bit
+        stderrs = np.zeros_like(stderrs)
+    values, degenerate = _tau_b_matrix(_pair_signs(oriented, stderrs, cfg.critical_z))
     values.setflags(write=False)
     degenerate.setflags(write=False)
     return AgreementMatrix(benchmark_ids=m.benchmark_ids, values=values, degenerate=degenerate)
+
+
+def _defined_mean(am: AgreementMatrix, cells=None) -> tuple[float | None, int]:
+    """Mean of the non-degenerate (i, j) ``cells``, in the order given, and the number skipped.
+
+    ``cells`` defaults to every pair i < j, row by row; the mean is None when no cell is defined.
+    """
+    if cells is None:
+        cells = combinations(range(am.n_benchmarks), 2)
+    rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    skipped = am.degenerate[rows, cols]
+    kept = am.values[rows, cols][~skipped]
+    return (float(np.mean(kept)) if kept.size else None), int(skipped.sum())
 
 
 def mean_agreement(am: AgreementMatrix) -> MeanAgreement:
@@ -232,13 +301,12 @@ def mean_agreement(am: AgreementMatrix) -> MeanAgreement:
     means = np.zeros(nb, dtype=float)
     excluded = np.zeros(nb, dtype=np.int64)
     for i in range(nb):
-        cells = [am.values[i, j] for j in range(nb) if j != i and not am.degenerate[i, j]]
-        excluded[i] = sum(1 for j in range(nb) if j != i and am.degenerate[i, j])
-        if not cells:
+        mean, excluded[i] = _defined_mean(am, [(i, j) for j in range(nb) if j != i])
+        if mean is None:
             raise DegenerateError(
                 f"benchmark {am.benchmark_ids[i]!r}: every off-diagonal agreement cell is degenerate"
             )
-        means[i] = float(np.mean(cells))
+        means[i] = mean
     means.setflags(write=False)
     excluded.setflags(write=False)
     return MeanAgreement(benchmark_ids=am.benchmark_ids, means=means, n_excluded=excluded)
@@ -268,18 +336,14 @@ def category_agreement(am: AgreementMatrix, cats: list[BenchmarkRecord]) -> Cate
     excluded = np.zeros((nc, nc), dtype=np.int64)
     for ci in range(nc):
         for cj in range(ci, nc):
-            if ci == cj:
-                idx = members[present[ci]]
-                pairs = [(a, b) for k, a in enumerate(idx) for b in idx[k + 1 :]]
-            else:
-                pairs = [(a, b) for a in members[present[ci]] for b in members[present[cj]]]
-            cells = [am.values[a, b] for a, b in pairs if not am.degenerate[a, b]]
-            n_skip = sum(1 for a, b in pairs if am.degenerate[a, b])
-            excluded[ci, cj] = excluded[cj, ci] = n_skip
-            if not cells:
+            rows, cols = members[present[ci]], members[present[cj]]
+            cells = combinations(rows, 2) if ci == cj else product(rows, cols)
+            mean, excluded[ci, cj] = _defined_mean(am, cells)
+            excluded[cj, ci] = excluded[ci, cj]
+            if mean is None:
                 undefined[ci, cj] = undefined[cj, ci] = True
             else:
-                values[ci, cj] = values[cj, ci] = float(np.mean(cells))
+                values[ci, cj] = values[cj, ci] = mean
     for arr in (values, undefined, excluded):
         arr.setflags(write=False)
     return CategoryAgreement(

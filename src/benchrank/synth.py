@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import DegenerateError, ScoreMatrix, make_score_matrix
 from .lowrank import fit_pca
-from .rankstats import SignificanceConfig, agreement_matrix
+from .rankstats import _defined_mean, agreement_matrix
 
 MODES = ("direct", "train_before_test")
 
@@ -183,39 +183,22 @@ class PairedSummary:
     n_degenerate_train_before_test: int
 
 
-def _mean_pairwise_tau(m: ScoreMatrix) -> tuple[float, int]:
-    """Mean tau over all benchmark pairs, skipping and counting degenerate cells.
-
-    Binomial scores tie exactly now and then, so the matrix is computed as
-    tau-b over zero standard errors: identical to plain tau on tie-free
-    pairs, standard tie adjustment otherwise.
-    """
-    flat = replace(m, stderrs=np.zeros_like(m.stderrs))
-    am = agreement_matrix(flat, method="tau_b", cfg=SignificanceConfig())
-    cells = []
-    skipped = 0
-    for i in range(am.n_benchmarks):
-        for j in range(i + 1, am.n_benchmarks):
-            if am.degenerate[i, j]:
-                skipped += 1
-            else:
-                cells.append(am.values[i, j])
-    if not cells:
-        raise DegenerateError("every benchmark pair is degenerate")
-    return float(np.mean(cells)), skipped
-
-
 def paired_experiment(cfg: SyntheticConfig) -> PairedSummary:
     """Generate both modes with shared draws and contrast their statistics.
 
     Returns the mean pairwise rank agreement and the first-component
     explained-variance ratio for each mode, plus the train-before-test
-    minus direct differences.
+    minus direct differences.  Binomial scores tie exactly now and then, so
+    agreement is tau-b over zero standard errors: plain tau on tie-free
+    pairs, tie-adjusted otherwise; degenerate pairs are skipped and counted.
     """
     m_direct = generate(cfg, "direct")
     m_tbt = generate(cfg, "train_before_test")
-    tau_d, skip_d = _mean_pairwise_tau(m_direct)
-    tau_t, skip_t = _mean_pairwise_tau(m_tbt)
+    zero = np.zeros_like(m_direct.stderrs)
+    tau_d, skip_d = _defined_mean(agreement_matrix(replace(m_direct, stderrs=zero), "tau_b"))
+    tau_t, skip_t = _defined_mean(agreement_matrix(replace(m_tbt, stderrs=zero), "tau_b"))
+    if tau_d is None or tau_t is None:
+        raise DegenerateError("every benchmark pair is degenerate")
     evr1_d = float(fit_pca(m_direct, "center").evr[0])
     evr1_t = float(fit_pca(m_tbt, "center").evr[0])
     return PairedSummary(

@@ -11,6 +11,7 @@ from benchrank.alignment import (
     rank_models,
     vanilla_ranks,
 )
+from benchrank.oracles import _oracle_significant
 from benchrank.rankstats import SignificanceConfig
 
 CFG = SignificanceConfig()
@@ -32,8 +33,8 @@ class TestBuildPartialOrder:
 
     def test_edges_respect_scores_and_significance(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(1, 8))
+        # 250 models span more than one step of the pair-sign kernel
+        for n in [int(rng.integers(1, 8)) for _ in range(50)] + [250]:
             s = rng.uniform(size=n)
             e = rng.uniform(0, 0.2, size=n)
             po = build_partial_order(s, e, CFG)
@@ -41,10 +42,25 @@ class TestBuildPartialOrder:
                 assert s[a] > s[b]
             # acyclic because edges follow strict score order
             assert all((b, a) not in po.edges for a, b in po.edges)
+            expected = {
+                (a, b) if s[a] > s[b] else (b, a)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if _oracle_significant(s[a], e[a], s[b], e[b], CFG.critical_z)
+            }
+            assert po.edges == expected
 
     def test_nonfinite_rejected(self):
         with pytest.raises(AlignmentError, match="non-finite"):
             build_partial_order([0.5, float("nan")], [0.1, 0.1], CFG)
+        with pytest.raises(AlignmentError, match="non-finite"):
+            build_partial_order([0.5, 0.6], [0.1, float("nan")], CFG)
+
+    def test_negative_stderr_rejected(self):
+        with pytest.raises(AlignmentError, match=">= 0"):
+            build_partial_order([0.5, 0.6], [0.1, -0.1], CFG)
+        with pytest.raises(AlignmentError, match=">= 0"):
+            rank_models([0.5, 0.6], [0.1, 0.1], [0.5, 0.6], [-0.1, 0.1], CFG)
 
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
@@ -174,6 +190,7 @@ class TestCrossingCount:
 
     def test_equal_orders(self):
         assert crossing_count(self.make("ABC", "ABC")) == 0
+        assert crossing_count(self.make("", "")) == 0
 
     def test_full_reversal(self):
         assert crossing_count(self.make("ABC", "CBA")) == 3

@@ -100,6 +100,27 @@ class TestInputErrors:
         assert code == 2
         assert not (workspace / "x.json").exists()
 
+    def test_pca_n_items_not_a_list(self, workspace, capsys):
+        scores = workspace / "direct.json"
+        assert run_cli(["simulate", "--config", str(workspace / "sim.json"), "--mode", "direct", "--out", str(scores)]) == 0
+        payload = json.loads(scores.read_text())
+        payload["n_items"] = 5
+        scores.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["pca", "--scores", str(scores), "--out", str(workspace / "x.json")]) == 2
+        assert "error: input:" in capsys.readouterr().err
+        assert not (workspace / "x.json").exists()
+
+    def test_unwritable_output_path(self, workspace, capsys):
+        blocker = workspace / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "out.csv"
+        code = run_cli(["simulate", "--config", str(workspace / "sim.json"), "--mode", "direct", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output:")
+        assert blocker.read_text() == "a file, not a directory\n"
+
     def test_simulate_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n_models": 4, "n_benchmarks": 3, "mystery": 1}))

@@ -68,8 +68,9 @@ class TestValidation:
             small_matrix(direction=["higher", "down"])
 
     def test_bad_n_items(self):
-        with pytest.raises(ScoreMatrixError, match="n_items"):
-            small_matrix(n_items=[0, None])
+        for n_items in ([0, None], [True, None]):
+            with pytest.raises(ScoreMatrixError, match="n_items"):
+                small_matrix(n_items=n_items)
 
     def test_ids_whitespace_trimmed(self):
         m = small_matrix(benchmark_ids=[" acc", "bpb "], model_ids=["A ", " B"])

@@ -282,3 +282,13 @@ class TestLoadScoresJson:
         p.write_text("{nope")
         with pytest.raises(LoadError, match="invalid JSON"):
             load_scores(p)
+
+    @pytest.mark.parametrize("n_items", [5, [2.7, True], [1000, "3"], [0, None], [2.0, None]])
+    def test_bad_n_items(self, tmp_path, n_items):
+        p = tmp_path / "s.json"
+        save_scores(p, sample_matrix())
+        payload = json.loads(p.read_text())
+        payload["n_items"] = n_items
+        p.write_text(json.dumps(payload))
+        with pytest.raises(LoadError, match="n_items"):
+            load_scores(p)

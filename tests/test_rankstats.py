@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from benchrank import rankstats
 from benchrank.core import DEGENERATE, AgreementMatrix, BenchmarkRecord, DegenerateError, make_score_matrix
+from benchrank.oracles import taub_oracle
 from benchrank.rankstats import (
     SignificanceConfig,
     TieError,
@@ -120,10 +122,17 @@ class TestSignificantDifference:
 
 class TestKendallTauB:
     def test_reduces_to_tau_without_ties(self):
-        x = [0.9, 0.5, 0.7, 0.1]
-        y = [0.8, 0.3, 0.6, 0.2]
-        zeros = [0.0] * 4
-        assert kendall_tau_b(x, zeros, y, zeros, CFG) == kendall_tau(x, y)
+        cases = [
+            ([0.9, 0.5, 0.7, 0.1], [0.8, 0.3, 0.6, 0.2], 1.0),
+            ([0.9, 0.5, 0.7, 0.1], [0.8, 0.6, 0.3, 0.2], 2 / 3),
+            # the product of the two score gaps, 1e-400, underflows to zero
+            ([0.0, 1e-200], [0.0, 1e-200], 1.0),
+        ]
+        for x, y, expected in cases:
+            zeros = [0.0] * len(x)
+            t = kendall_tau_b(x, zeros, y, zeros, CFG)
+            assert t == kendall_tau(x, y) == taub_oracle(x, zeros, y, zeros, CFG)
+            assert t == pytest.approx(expected, abs=1e-15)
 
     def test_hand_worked_case(self):
         t = kendall_tau_b([0.9, 0.8, 0.7], [0.01] * 3, [0.70, 0.71, 0.90], [0.02] * 3, CFG)
@@ -145,6 +154,25 @@ class TestKendallTauB:
     def test_stderr_length_checked(self):
         with pytest.raises(ValueError, match="stderr"):
             kendall_tau_b([1, 2], [0.1], [1, 2], [0.1, 0.1], CFG)
+
+    @pytest.mark.parametrize(
+        "bad, match", [(float("nan"), "non-finite"), (float("inf"), "non-finite"), (-0.1, ">= 0")]
+    )
+    def test_bad_stderr_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            kendall_tau_b([1, 2, 3], [0.1, bad, 0.1], [1, 2, 3], [0.1] * 3, CFG)
+        with pytest.raises(ValueError, match=match):
+            kendall_tau_b([1, 2, 3], [0.1] * 3, [1, 2, 3], [bad, 0.1, 0.1], CFG)
+
+
+def assert_matches_taub_oracle(am, rows, stderrs):
+    """Every off-diagonal cell and its degenerate flag equal the brute-force oracle."""
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            if a != b:
+                expected = taub_oracle(rows[a], stderrs[a], rows[b], stderrs[b], CFG)
+                assert am.entry(a, b) == expected
+                assert am.degenerate[a, b] == (expected is DEGENERATE)
 
 
 def matrix_from_rows(rows, direction="higher", stderrs=None):
@@ -178,14 +206,16 @@ class TestAgreementMatrix:
         assert np.array_equal(np.diag(am.values), np.ones(4))
         assert np.array_equal(am.values, am.values.T)
 
-    def test_matches_per_pair_calls(self):
+    def test_matches_per_pair_calls(self, monkeypatch):
         rng = np.random.default_rng(13)
         rows = rng.uniform(size=(3, 7))
-        m = matrix_from_rows(rows)
-        am = agreement_matrix(m, method="tau")
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert am.values[a, b] == kendall_tau(rows[a], rows[b])
+        tied = np.vstack([rows, rng.integers(0, 3, size=(2, 7)) / 3, np.full((1, 7), 0.5)])
+        zeros = np.zeros_like(tied)
+        # the default chunk covers these rows in one step; a chunk of 1 takes one model per step
+        for chunk in (rankstats._PAIR_CHUNK, 1):
+            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
+            assert_matches_taub_oracle(agreement_matrix(matrix_from_rows(rows), method="tau"), rows, zeros)
+            assert_matches_taub_oracle(agreement_matrix(matrix_from_rows(tied), method="tau_b"), tied, zeros)
 
     def test_orientation_applied(self):
         # same ranking expressed as accuracy and as a lower-is-better metric
@@ -194,12 +224,13 @@ class TestAgreementMatrix:
         assert am.values[0, 1] == 1.0
 
     def test_tau_b_uses_stderrs(self):
-        rows = [[0.9, 0.8, 0.1], [0.1, 0.8, 0.9]]
-        ses = np.full((2, 3), 0.04)
+        # the last row's gaps are all insignificant at these stderrs: degenerate cells
+        rows = [[0.9, 0.8, 0.1], [0.1, 0.8, 0.9], [0.5, 0.52, 0.54]]
+        ses = np.full((3, 3), 0.04)
         m = matrix_from_rows(rows, stderrs=ses)
         am = agreement_matrix(m, method="tau_b", cfg=CFG)
-        expected = kendall_tau_b(rows[0], ses[0], rows[1], ses[1], CFG)
-        assert am.values[0, 1] == expected
+        assert am.degenerate[0, 2] and not am.degenerate[0, 1]
+        assert_matches_taub_oracle(am, rows, ses)
 
     def test_degenerate_cell_flagged(self):
         rows = [[0.5, 0.5, 0.5], [0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]

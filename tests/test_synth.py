@@ -1,14 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from benchrank.core import validate_score_matrix
-from benchrank.synth import SyntheticConfig, _mean_pairwise_tau, generate, paired_experiment
+from benchrank.rankstats import _defined_mean, agreement_matrix
+from benchrank.synth import SyntheticConfig, generate, paired_experiment
 
 
 def cfg(**overrides):
     base = dict(n_models=8, n_benchmarks=4, seed=1, n_items=400)
     base.update(overrides)
     return SyntheticConfig(**base)
+
+
+def mean_pairwise_tau(m):
+    """Mean tau-b over zero stderrs, as paired_experiment computes it."""
+    flat = replace(m, stderrs=np.zeros_like(m.stderrs))
+    return _defined_mean(agreement_matrix(flat, method="tau_b"))[0]
 
 
 class TestConfigValidation:
@@ -93,7 +102,7 @@ class TestGenerate:
         m = generate(c, "direct")
         orders = {tuple(np.argsort(-m.scores[i])) for i in range(m.n_benchmarks)}
         assert len(orders) == 1
-        assert _mean_pairwise_tau(m)[0] == 1.0
+        assert mean_pairwise_tau(m) == 1.0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -107,7 +116,7 @@ class TestGenerate:
             taus = []
             for sd in (0.15, 0.6):
                 c = SyntheticConfig(n_models=12, n_benchmarks=6, seed=seed, prep_sd=sd, n_items=500)
-                taus.append(_mean_pairwise_tau(generate(c, "direct"))[0])
+                taus.append(mean_pairwise_tau(generate(c, "direct")))
             wins += taus[0] >= taus[1]
         assert wins >= 15
 
