@@ -19,11 +19,37 @@ frontier, m2 from task 2's) with a lexicographic cost:
 
 The criteria are applied in priority order, not as a weighted sum, and the
 final id tie-break makes the whole procedure deterministic.
+
+The minimum is found exactly without scanning all |F1| * |F2| pairs:
+
+- A model in both frontiers costs (0, 0, ...) and beats every mismatch, so
+  when F1 & F2 is non-empty the step places the common model with the
+  smallest (vanilla2 + vanilla1, id).
+- Otherwise every pair is a mismatch.  Split F1 into A1 (models already in
+  order2) and B1 (the rest), and F2 into A2 (already in order1) and B2.  A
+  pair's penalty is [m1 in B1] + [m2 in B2], constant on each of the four
+  class products A1xA2, A1xB2, B1xA2 and B1xB2.
+- Within one product the rank sum vanilla2[m1] + vanilla1[m2] separates, and
+  vanilla ranks are a permutation, so its unique minimiser pairs the
+  smallest vanilla2 of the F1 class with the smallest vanilla1 of the F2
+  class.
+- The smallest penalty is reached in one product only: A1xA2 (penalty 0)
+  when A1 and A2 are both non-empty; with A1 empty the products are B1xA2
+  and B1xB2 (penalties 1 and 2), with A2 empty A1xB2 and B1xB2, and with
+  both empty B1xB2 alone.  So the penalty alone decides between products,
+  and neither rank sums nor ids are compared across them.  Each side thus
+  chooses on its own: m1 is the smallest vanilla2 in A1, or in F1 when A1
+  is empty, and m2 likewise the smallest vanilla1 in A2, or in F2.
+
+Each step therefore costs O(|F1| + |F2|).  Partial orders are held as
+winner/loser index arrays and the frontiers as CSR successor lists over
+model positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -37,14 +63,37 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PartialOrder:
-    """DAG over models: an edge (a, b) means a significantly beats b.
+    """DAG over models: edge k means model ``winners[k]`` significantly beats ``losers[k]``.
 
-    Acyclic by construction since every edge points from a strictly higher
-    oriented score to a strictly lower one.
+    ``winners`` and ``losers`` are equal-length int arrays of positions in
+    ``model_ids``, one entry per distinct edge.  Orders from
+    :func:`build_partial_order` are acyclic by construction since every
+    edge points from a strictly higher oriented score to a strictly lower
+    one.
     """
 
     model_ids: tuple[Hashable, ...]
-    edges: frozenset[tuple[Hashable, Hashable]]
+    winners: np.ndarray
+    losers: np.ndarray
+
+    @classmethod
+    def from_edges(cls, model_ids: Sequence[Hashable], edges) -> PartialOrder:
+        """Order from (winner id, loser id) pairs, for hand-built graphs."""
+        ids = _default_ids(len(model_ids), model_ids)
+        index = {m: k for k, m in enumerate(ids)}
+        ends = []
+        for a, b in set(edges):
+            if a not in index or b not in index:
+                raise AlignmentError(f"edge ({a!r}, {b!r}) references unknown model")
+            ends.append((index[a], index[b]))
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        return cls(ids, ends[:, 0], ends[:, 1])
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[Hashable, Hashable]]:
+        """The edges as (winner id, loser id) pairs, built on first access."""
+        at = self.model_ids.__getitem__
+        return frozenset(zip(map(at, self.winners.tolist()), map(at, self.losers.tolist())))
 
     @property
     def n_models(self) -> int:
@@ -102,8 +151,7 @@ def build_partial_order(
     ids = _default_ids(len(scores), model_ids)
     signs = _pair_signs(scores, stderrs, cfg.critical_z)
     winners, losers = _significant_pairs(signs, len(ids))
-    edges = frozenset(zip(map(ids.__getitem__, winners), map(ids.__getitem__, losers)))
-    return PartialOrder(model_ids=ids, edges=edges)
+    return PartialOrder(ids, winners, losers)
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:
@@ -121,25 +169,26 @@ def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.nda
 
 
 class _Frontier:
-    """Zero-in-degree tracking for one partial order during the greedy loop."""
+    """Zero-in-degree tracking for one partial order over positions in ``models``."""
 
-    def __init__(self, po: PartialOrder):
-        self.succ: dict[Hashable, list[Hashable]] = {m: [] for m in po.model_ids}
-        self.indeg: dict[Hashable, int] = {m: 0 for m in po.model_ids}
-        for a, b in po.edges:
-            if a not in self.indeg or b not in self.indeg:
-                raise AlignmentError(f"edge ({a!r}, {b!r}) references unknown model")
-            self.succ[a].append(b)
-            self.indeg[b] += 1
-        self.available = {m for m, d in self.indeg.items() if d == 0}
+    def __init__(self, po: PartialOrder, models: tuple[Hashable, ...]):
+        winners, losers = po.winners, po.losers
+        if po.model_ids != models:
+            at = {m: k for k, m in enumerate(models)}
+            to_models = np.array([at[m] for m in po.model_ids], dtype=np.intp)
+            winners, losers = to_models[winners], to_models[losers]
+        n = len(models)
+        self.succ = losers[np.argsort(winners)]
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(winners, minlength=n))))
+        self.indeg = np.bincount(losers, minlength=n)
+        self.available = set(np.flatnonzero(self.indeg == 0).tolist())
 
-    def remove(self, m: Hashable) -> None:
-        self.available.discard(m)
-        for b in self.succ[m]:
-            self.indeg[b] -= 1
-            if self.indeg[b] == 0:
-                self.available.add(b)
-        del self.succ[m]
+    def remove(self, k: int) -> None:
+        self.available.discard(k)
+        succ = self.succ[self.start[k] : self.start[k + 1]]
+        # edges are distinct, so no position repeats within one successor list
+        self.indeg[succ] -= 1
+        self.available.update(succ[self.indeg[succ] == 0].tolist())
 
 
 def parallel_greedy_rank(
@@ -152,10 +201,11 @@ def parallel_greedy_rank(
     """Greedily build one linear extension per partial order, kept aligned.
 
     At each of n steps the minimum-cost pair (m1, m2) over the two current
-    frontiers is selected, m1 appended to order1 and m2 to order2, and both
-    removed from their graphs.  Placing only zero-in-degree nodes makes
-    each output a linear extension by construction.  Raises on mismatched
-    model sets or when a frontier empties early (cyclic input).
+    frontiers is selected (see the module docstring), m1 appended to order1
+    and m2 to order2, and both removed from their graphs.  Placing only
+    zero-in-degree nodes makes each output a linear extension by
+    construction.  Raises on mismatched model sets or when a frontier
+    empties early (cyclic input).
     """
     models = tuple(models)
     if set(models) != set(g1.model_ids) or set(models) != set(g2.model_ids):
@@ -164,34 +214,29 @@ def parallel_greedy_rank(
     score2 = np.asarray(score2, dtype=float)
     if len(score1) != len(models) or len(score2) != len(models):
         raise AlignmentError("score vectors must match the model list")
-    vr1 = dict(zip(models, vanilla_ranks(score1, models)))
-    vr2 = dict(zip(models, vanilla_ranks(score2, models)))
-    f1, f2 = _Frontier(g1), _Frontier(g2)
+    vr1 = vanilla_ranks(score1, models).tolist()
+    vr2 = vanilla_ranks(score2, models).tolist()
+    f1, f2 = _Frontier(g1, models), _Frontier(g2, models)
+    placed1 = [False] * len(models)
+    placed2 = [False] * len(models)
     order1: list[Hashable] = []
     order2: list[Hashable] = []
-    placed1: set[Hashable] = set()
-    placed2: set[Hashable] = set()
     for _ in range(len(models)):
         if not f1.available or not f2.available:
             raise AlignmentError("cyclic partial order: frontier exhausted before all models placed")
-        best = None
-        best_pair = None
-        for m1 in f1.available:
-            for m2 in f2.available:
-                penalty = 0
-                if m1 != m2:
-                    penalty = (m1 not in placed2) + (m2 not in placed1)
-                cost = (penalty, int(m1 != m2), vr2[m1] + vr1[m2], (m1, m2))
-                if best is None or cost < best:
-                    best = cost
-                    best_pair = (m1, m2)
-        m1, m2 = best_pair
-        order1.append(m1)
-        order2.append(m2)
-        placed1.add(m1)
-        placed2.add(m2)
-        f1.remove(m1)
-        f2.remove(m2)
+        common = f1.available & f2.available
+        if common:
+            k1 = k2 = min(common, key=lambda k: (vr2[k] + vr1[k], models[k]))
+        else:
+            # prefer a model already placed in the other order, then the best other-task rank
+            k1 = min(f1.available, key=lambda k: (not placed2[k], vr2[k]))
+            k2 = min(f2.available, key=lambda k: (not placed1[k], vr1[k]))
+        order1.append(models[k1])
+        order2.append(models[k2])
+        placed1[k1] = True
+        placed2[k2] = True
+        f1.remove(k1)
+        f2.remove(k2)
     return tuple(order1), tuple(order2)
 
 

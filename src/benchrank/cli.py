@@ -186,7 +186,9 @@ def _aligned_pair_table(
         raise LoadError("the two score matrices cover different model sets")
     ia = ma.benchmark_index(bench_a)
     ib = mb.benchmark_index(bench_b)
-    col = [mb.model_index(mod) for mod in ma.model_ids]
+    row = {mod: j for j, mod in enumerate(ma.model_ids)}
+    # mb's position of each of ma's models: the inverse of ma's position of each of mb's
+    col = np.argsort([row[mod] for mod in mb.model_ids])
     s1 = oriented_scores(ma, bench_a)
     s2 = oriented_scores(mb, bench_b)[col]
     e1 = np.asarray(ma.stderrs[ia], dtype=float)
@@ -196,7 +198,7 @@ def _aligned_pair_table(
     raw2 = mb.scores[ib][col]
     rows = []
     for mod in ranking.order1:
-        j = ma.model_index(mod)
+        j = row[mod]
         rows.append(
             {
                 "model": mod,

@@ -187,7 +187,7 @@ def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
     if fmt != "long-csv":
         raise LoadError(f"unknown score format {fmt!r}")
     benchmarks: list[str] = []
-    models: list[str] = []
+    models: dict[str, None] = {}  # insertion-ordered set
     cells: dict[tuple[str, str], tuple[float, float]] = {}
     direction: dict[str, str] = {}
     n_items: dict[str, int | None] = {}
@@ -217,8 +217,7 @@ def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
                 raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting directions")
             if n_items[b] != n:
                 raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting n values")
-        if mod not in models:
-            models.append(mod)
+        models.setdefault(mod)
         cells[(b, mod)] = (score, stderr)
     if not cells:
         raise LoadError(f"{path}: no data rows")
@@ -329,7 +328,8 @@ def load_benchmark_categories(path: str | Path) -> list[BenchmarkRecord]:
 
 
 def render_artifact(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Artifact text; a NaN or infinite float raises ``ValueError`` instead of writing invalid JSON."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def load_artifact(path: str | Path) -> dict:

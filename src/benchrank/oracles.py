@@ -147,6 +147,74 @@ def alignment_oracle(g1: PartialOrder, g2: PartialOrder) -> int:
     return int(diff.min())
 
 
+def _oracle_vanilla_ranks(scores, models) -> dict[Hashable, int]:
+    order = sorted(range(len(models)), key=lambda k: (-float(scores[k]), models[k]))
+    return {models[k]: r + 1 for r, k in enumerate(order)}
+
+
+class _OracleFrontier:
+    def __init__(self, po: PartialOrder):
+        self.succ: dict[Hashable, list[Hashable]] = {m: [] for m in po.model_ids}
+        self.indeg: dict[Hashable, int] = {m: 0 for m in po.model_ids}
+        for a, b in po.edges:
+            if a not in self.indeg or b not in self.indeg:
+                raise ValueError(f"edge ({a!r}, {b!r}) references unknown model")
+            self.succ[a].append(b)
+            self.indeg[b] += 1
+        self.available = {m for m, d in self.indeg.items() if d == 0}
+
+    def remove(self, m: Hashable) -> None:
+        self.available.discard(m)
+        for b in self.succ[m]:
+            self.indeg[b] -= 1
+            if self.indeg[b] == 0:
+                self.available.add(b)
+        del self.succ[m]
+
+
+def greedy_oracle(
+    models, g1: PartialOrder, g2: PartialOrder, score1, score2
+) -> tuple[tuple[Hashable, ...], tuple[Hashable, ...]]:
+    """Parallel greedy alignment by scanning every frontier pair at every step.
+
+    Same cost tuple as ``alignment.parallel_greedy_rank`` (penalty, mismatch,
+    vanilla rank sum, id pair), minimised over all |F1| * |F2| pairs; reads
+    the partial orders through their ``edges`` only.
+    """
+    models = tuple(models)
+    if set(models) != set(g1.model_ids) or set(models) != set(g2.model_ids):
+        raise ValueError("both partial orders must cover exactly the given model set")
+    vr1 = _oracle_vanilla_ranks(score1, models)
+    vr2 = _oracle_vanilla_ranks(score2, models)
+    f1, f2 = _OracleFrontier(g1), _OracleFrontier(g2)
+    order1: list[Hashable] = []
+    order2: list[Hashable] = []
+    placed1: set[Hashable] = set()
+    placed2: set[Hashable] = set()
+    for _ in range(len(models)):
+        if not f1.available or not f2.available:
+            raise ValueError("cyclic partial order: frontier exhausted before all models placed")
+        best = None
+        best_pair = None
+        for m1 in f1.available:
+            for m2 in f2.available:
+                penalty = 0
+                if m1 != m2:
+                    penalty = (m1 not in placed2) + (m2 not in placed1)
+                cost = (penalty, int(m1 != m2), vr2[m1] + vr1[m2], (m1, m2))
+                if best is None or cost < best:
+                    best = cost
+                    best_pair = (m1, m2)
+        m1, m2 = best_pair
+        order1.append(m1)
+        order2.append(m2)
+        placed1.add(m1)
+        placed2.add(m2)
+        f1.remove(m1)
+        f2.remove(m2)
+    return tuple(order1), tuple(order2)
+
+
 def eig2_oracle(cov) -> tuple[float, float]:
     """Closed-form eigenvalues of a symmetric 2x2 matrix, sorted descending."""
     cov = np.asarray(cov, dtype=float)

@@ -11,10 +11,22 @@ from benchrank.alignment import (
     rank_models,
     vanilla_ranks,
 )
-from benchrank.oracles import _oracle_significant
+from benchrank.oracles import _oracle_significant, greedy_oracle
 from benchrank.rankstats import SignificanceConfig
 
 CFG = SignificanceConfig()
+
+
+def oracle_partial_order(s, e, ids):
+    """Partial order from a brute-force loop over the oracle's z-test."""
+    n = len(s)
+    edges = {
+        (ids[a], ids[b]) if s[a] > s[b] else (ids[b], ids[a])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if _oracle_significant(s[a], e[a], s[b], e[b], CFG.critical_z)
+    }
+    return PartialOrder.from_edges(ids, edges)
 
 
 class TestBuildPartialOrder:
@@ -42,13 +54,7 @@ class TestBuildPartialOrder:
                 assert s[a] > s[b]
             # acyclic because edges follow strict score order
             assert all((b, a) not in po.edges for a, b in po.edges)
-            expected = {
-                (a, b) if s[a] > s[b] else (b, a)
-                for a in range(n)
-                for b in range(a + 1, n)
-                if _oracle_significant(s[a], e[a], s[b], e[b], CFG.critical_z)
-            }
-            assert po.edges == expected
+            assert po.edges == oracle_partial_order(s, e, tuple(range(n))).edges
 
     def test_nonfinite_rejected(self):
         with pytest.raises(AlignmentError, match="non-finite"):
@@ -67,6 +73,31 @@ class TestBuildPartialOrder:
             build_partial_order([0.5], [0.1, 0.1], CFG)
 
 
+class TestPartialOrder:
+    def test_from_edges_rejects_unknown_model(self):
+        with pytest.raises(AlignmentError, match="unknown model"):
+            PartialOrder.from_edges(("A", "B"), {("A", "C")})
+
+    def test_from_edges_rejects_duplicate_id(self):
+        with pytest.raises(AlignmentError, match="duplicate model id"):
+            PartialOrder.from_edges(("A", "A"), set())
+
+    def test_from_edges_round_trip(self):
+        rng = np.random.default_rng(23)
+        for n in [1, 2, 5, 40]:
+            ids = tuple(f"m{k}" for k in rng.permutation(n))
+            po = build_partial_order(rng.uniform(size=n), rng.uniform(0, 0.1, size=n), CFG, ids)
+            again = PartialOrder.from_edges(ids, po.edges)
+            assert again.edges == po.edges
+            assert again.model_ids == po.model_ids
+
+    def test_longer_cycle_detected(self):
+        ids = ("A", "B", "C", "D")
+        cyclic = PartialOrder.from_edges(ids, {("D", "A"), ("A", "B"), ("B", "C"), ("C", "A")})
+        with pytest.raises(AlignmentError, match="cyclic"):
+            parallel_greedy_rank(ids, chain(ids), cyclic, [4, 3, 2, 1], [4, 3, 2, 1])
+
+
 class TestVanillaRanks:
     def test_rank_one_is_best(self):
         assert list(vanilla_ranks([0.9, 0.5, 0.7])) == [1, 3, 2]
@@ -80,10 +111,7 @@ class TestVanillaRanks:
 
 
 def chain(ids):
-    return PartialOrder(
-        model_ids=tuple(ids),
-        edges=frozenset((a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]),
-    )
+    return PartialOrder.from_edges(ids, frozenset((a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]))
 
 
 class TestParallelGreedyRank:
@@ -108,8 +136,8 @@ class TestParallelGreedyRank:
 
     def test_significant_reversal_crosses(self):
         ids = ("A", "B")
-        g1 = PartialOrder(ids, frozenset({("A", "B")}))
-        g2 = PartialOrder(ids, frozenset({("B", "A")}))
+        g1 = PartialOrder.from_edges(ids, frozenset({("A", "B")}))
+        g2 = PartialOrder.from_edges(ids, frozenset({("B", "A")}))
         o1, o2 = parallel_greedy_rank(ids, g1, g2, [0.9, 0.1], [0.1, 0.9])
         assert o1 == ("A", "B")
         assert o2 == ("B", "A")
@@ -120,7 +148,7 @@ class TestParallelGreedyRank:
 
     def test_cyclic_graph_detected(self):
         ids = ("A", "B")
-        cyclic = PartialOrder(ids, frozenset({("A", "B"), ("B", "A")}))
+        cyclic = PartialOrder.from_edges(ids, frozenset({("A", "B"), ("B", "A")}))
         with pytest.raises(AlignmentError, match="cyclic"):
             parallel_greedy_rank(ids, cyclic, chain(ids), [1, 0], [1, 0])
 
@@ -197,3 +225,53 @@ class TestCrossingCount:
 
     def test_adjacent_swap(self):
         assert crossing_count(self.make("ABC", "BAC")) == 1
+
+
+def random_case(rng, n):
+    """Two tasks on n models: rounded (tied) scores, zero stderrs on one task and int ids, at random."""
+    s1, s2 = rng.uniform(size=n), rng.uniform(size=n)
+    if rng.random() < 0.5:
+        s1, s2 = np.round(s1, 1), np.round(s2, 1)
+    scale = 10.0 ** rng.uniform(-3, -0.5)
+    e1 = rng.uniform(0.5, 1.5, size=n) * scale
+    e2 = rng.uniform(0.5, 1.5, size=n) * scale
+    if rng.random() < 0.25:
+        e2 = np.zeros(n)
+    if rng.random() < 0.5:
+        ids = tuple(int(k) for k in rng.permutation(n) * 7)
+    else:
+        ids = tuple(f"m{k}" for k in rng.permutation(n))
+    return s1, e1, s2, e2, ids
+
+
+class TestMatchesGreedyOracle:
+    """The frontier-class selection picks the same pair as a scan of every frontier pair."""
+
+    def test_rank_models(self):
+        rng = np.random.default_rng(31)
+        for n in [int(rng.integers(1, 61)) for _ in range(300)] + [320]:
+            s1, e1, s2, e2, ids = random_case(rng, n)
+            ar = rank_models(s1, e1, s2, e2, CFG, ids)
+            expected = greedy_oracle(ids, oracle_partial_order(s1, e1, ids), oracle_partial_order(s2, e2, ids), s1, s2)
+            assert (ar.order1, ar.order2) == expected
+
+    def test_models_permuted_against_orders(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            n = int(rng.integers(1, 61))
+            s1, e1, s2, e2, ids = random_case(rng, n)
+            g1 = build_partial_order(s1, e1, CFG, ids)
+            g2 = build_partial_order(s2, e2, CFG, ids)
+            perm = rng.permutation(n)
+            models = tuple(ids[k] for k in perm)
+            got = parallel_greedy_rank(models, g1, g2, s1[perm], s2[perm])
+            assert got == greedy_oracle(models, g1, g2, s1[perm], s2[perm])
+
+    def test_matches_tied_on_rank_sum(self):
+        # B and A are both in both frontiers with vanilla rank sum 3: the id decides
+        ids = ("B", "A")
+        g = PartialOrder.from_edges(ids, set())
+        s1, s2 = [0.9, 0.5], [0.5, 0.9]
+        expected = (("A", "B"), ("A", "B"))
+        assert greedy_oracle(ids, g, g, s1, s2) == expected
+        assert parallel_greedy_rank(ids, g, g, s1, s2) == expected

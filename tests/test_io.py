@@ -248,6 +248,12 @@ class TestManifestAndArtifacts:
         p.write_text(render_artifact(payload))
         assert load_artifact(p) == payload
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_float_rejected(self, value):
+        payload = {"format_version": 1, "kind": "flops", "models": [{"flops": value}], "excluded": []}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_artifact(payload)
+
     def test_validate_artifact_unknown_kind(self):
         with pytest.raises(LoadError, match="unknown artifact kind"):
             validate_artifact({"kind": "mystery", "format_version": 1})

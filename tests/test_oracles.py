@@ -9,6 +9,7 @@ from benchrank.oracles import (
     _linear_extensions,
     alignment_oracle,
     eig2_oracle,
+    greedy_oracle,
     tau_oracle,
     taub_oracle,
 )
@@ -62,32 +63,51 @@ class TestLinearExtensions:
 
 class TestAlignmentOracle:
     def test_acyclic_union_is_zero(self):
-        g1 = PartialOrder(("a", "b", "c"), frozenset({("a", "b")}))
-        g2 = PartialOrder(("a", "b", "c"), frozenset({("b", "c")}))
+        g1 = PartialOrder.from_edges(("a", "b", "c"), frozenset({("a", "b")}))
+        g2 = PartialOrder.from_edges(("a", "b", "c"), frozenset({("b", "c")}))
         assert alignment_oracle(g1, g2) == 0
 
     def test_contradictory_pair_forces_crossing(self):
-        g1 = PartialOrder(("a", "b"), frozenset({("a", "b")}))
-        g2 = PartialOrder(("a", "b"), frozenset({("b", "a")}))
+        g1 = PartialOrder.from_edges(("a", "b"), frozenset({("a", "b")}))
+        g2 = PartialOrder.from_edges(("a", "b"), frozenset({("b", "a")}))
         assert alignment_oracle(g1, g2) == 1
 
     def test_double_contradiction(self):
         ids = ("a", "b", "c")
-        g1 = PartialOrder(ids, frozenset({("a", "b"), ("b", "c"), ("a", "c")}))
-        g2 = PartialOrder(ids, frozenset({("c", "b"), ("b", "a"), ("c", "a")}))
+        g1 = PartialOrder.from_edges(ids, frozenset({("a", "b"), ("b", "c"), ("a", "c")}))
+        g2 = PartialOrder.from_edges(ids, frozenset({("c", "b"), ("b", "a"), ("c", "a")}))
         assert alignment_oracle(g1, g2) == 3
 
     def test_size_cap(self):
         ids = tuple(range(7))
-        g = PartialOrder(ids, frozenset())
+        g = PartialOrder.from_edges(ids, frozenset())
         with pytest.raises(ValueError, match="n <= 6"):
             alignment_oracle(g, g)
 
     def test_mismatched_sets(self):
         with pytest.raises(ValueError, match="same model set"):
             alignment_oracle(
-                PartialOrder(("a",), frozenset()), PartialOrder(("b",), frozenset())
+                PartialOrder.from_edges(("a",), frozenset()), PartialOrder.from_edges(("b",), frozenset())
             )
+
+
+class TestGreedyOracle:
+    def test_identical_chains(self):
+        ids = ("a", "b", "c")
+        g = PartialOrder.from_edges(ids, {("a", "b"), ("b", "c"), ("a", "c")})
+        assert greedy_oracle(ids, g, g, [3, 2, 1], [3, 2, 1]) == (ids, ids)
+
+    def test_reversal_crosses(self):
+        ids = ("a", "b")
+        g1 = PartialOrder.from_edges(ids, {("a", "b")})
+        g2 = PartialOrder.from_edges(ids, {("b", "a")})
+        assert greedy_oracle(ids, g1, g2, [0.9, 0.1], [0.1, 0.9]) == (("a", "b"), ("b", "a"))
+
+    def test_cycle_rejected(self):
+        ids = ("a", "b")
+        cyclic = PartialOrder.from_edges(ids, {("a", "b"), ("b", "a")})
+        with pytest.raises(ValueError, match="cyclic"):
+            greedy_oracle(ids, cyclic, cyclic, [1, 0], [1, 0])
 
 
 class TestEig2Oracle:
