@@ -1,10 +1,10 @@
 """Principal component analysis of the model-score matrix.
 
 Models are the observations and benchmarks the features (the transpose of
-the storage layout).  The feature covariance is diagonalized with a cyclic
-Jacobi sweep: deterministic rotation order, off-diagonal Frobenius norm
-driven below 1e-12, at most 100 sweeps.  That keeps the whole analysis
-dependency-light and bit-reproducible at the 24 x 24 scales involved.
+the storage layout).  The feature covariance is diagonalized with LAPACK's
+symmetric eigensolver (``numpy.linalg.eigh``), so results are
+byte-identical on one machine and numpy/LAPACK build; across builds they
+may differ in the last digits.
 
 Also here: the 6 * params * tokens pre-training compute estimate and the
 rank correlation between first-component scores and log-compute.
@@ -20,9 +20,6 @@ import numpy as np
 
 from .core import Degenerate, ScoreMatrix
 from .rankstats import SignificanceConfig, kendall_tau_b
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 PREPROCESSINGS = ("center", "zscore")
 
@@ -64,45 +61,6 @@ class ComputeRecord:
             raise ValueError(f"model {self.model_id!r}: flops must be > 0, got {self.flops}")
 
 
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in row-major order, zeroing one
-    off-diagonal entry per rotation, until the off-diagonal Frobenius norm
-    is <= 1e-12 or 100 sweeps have run.  Returns (eigenvalues, eigenvector
-    columns) unsorted.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.square(a - np.diag(np.diag(a))))))
-        if off <= _JACOBI_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-    return np.diag(a).copy(), v
-
-
 def _preprocess(m: ScoreMatrix, preprocessing: str) -> np.ndarray:
     """Models-by-benchmarks data matrix, mean-centered (and scaled under zscore)."""
     if preprocessing not in PREPROCESSINGS:
@@ -111,6 +69,12 @@ def _preprocess(m: ScoreMatrix, preprocessing: str) -> np.ndarray:
     x -= x.mean(axis=0)
     if preprocessing == "zscore":
         sd = np.array(m.scores, dtype=float).std(axis=1, ddof=1)
+        over = np.flatnonzero(~np.isfinite(sd))
+        if over.size:
+            raise ValueError(
+                f"benchmark {m.benchmark_ids[int(over[0])]!r} standard deviation overflows float64; "
+                "zscore undefined"
+            )
         zero = np.flatnonzero(sd == 0.0)
         if zero.size:
             raise ValueError(
@@ -126,13 +90,18 @@ def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
     Sample covariance uses the n-1 divisor.  Requires at least 2 models
     and 2 benchmarks, and under zscore nonzero variance on every benchmark.
     The spectrum of an all-constant matrix is entirely zero, which leaves
-    the variance ratios undefined; that case raises.
+    the variance ratios undefined; that case raises, as do scores whose
+    squares overflow float64 in the standard deviation or the covariance.
     """
     if m.n_models < 2 or m.n_benchmarks < 2:
         raise ValueError(f"need >= 2 models and >= 2 benchmarks, got {m.n_models} x {m.n_benchmarks}")
-    x = _preprocess(m, preprocessing)
-    cov = x.T @ x / (m.n_models - 1)
-    eigvals, vecs = _jacobi_eigh(cov)
+    # overflow is reported by the finiteness checks, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _preprocess(m, preprocessing)
+        cov = x.T @ x / (m.n_models - 1)
+    if not np.isfinite(cov).all():
+        raise ValueError("benchmark covariance overflows float64; scores too large in magnitude")
+    eigvals, vecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     vecs = vecs[:, order]
@@ -143,17 +112,12 @@ def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
     evr = eigvals / total
     pc1 = x @ vecs[:, 0]
     # eigenvectors are sign-ambiguous; anchor pc1 to the mean-score direction
+    # (or, when pc1 is orthogonal to it, to a positive first nonzero loading)
     anchor = float(pc1 @ x.mean(axis=1))
-    if anchor < 0.0:
-        vecs = vecs.copy()
+    lead = vecs[np.flatnonzero(vecs[:, 0])[0], 0]
+    if anchor < 0.0 or (anchor == 0.0 and lead < 0.0):
         vecs[:, 0] = -vecs[:, 0]
         pc1 = -pc1
-    elif anchor == 0.0:
-        lead = np.flatnonzero(vecs[:, 0])
-        if lead.size and vecs[lead[0], 0] < 0.0:
-            vecs = vecs.copy()
-            vecs[:, 0] = -vecs[:, 0]
-            pc1 = -pc1
     for arr in (eigvals, evr, pc1, vecs):
         arr.setflags(write=False)
     return PcaResult(

@@ -14,9 +14,9 @@ from typing import Hashable
 
 import numpy as np
 
-from .alignment import PartialOrder
-from .core import DEGENERATE, Degenerate
-from .rankstats import SignificanceConfig
+from benchrank.alignment import PartialOrder
+from benchrank.core import DEGENERATE, Degenerate
+from benchrank.rankstats import SignificanceConfig
 
 
 def tau_oracle(x, y) -> float:

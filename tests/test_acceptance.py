@@ -19,9 +19,10 @@ from benchrank.cli import run_cli
 from benchrank.core import DEGENERATE, Degenerate, make_score_matrix
 from benchrank.io import load_artifact, load_scores
 from benchrank.lowrank import compute_flops, fit_pca
-from benchrank.oracles import alignment_oracle, eig2_oracle, tau_oracle, taub_oracle
 from benchrank.rankstats import SignificanceConfig, kendall_tau, kendall_tau_b
 from benchrank.synth import SyntheticConfig, paired_experiment
+
+from oracles import alignment_oracle, eig2_oracle, tau_oracle, taub_oracle
 
 CFG = SignificanceConfig()
 

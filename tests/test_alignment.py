@@ -11,8 +11,9 @@ from benchrank.alignment import (
     rank_models,
     vanilla_ranks,
 )
-from benchrank.oracles import _oracle_significant, greedy_oracle
 from benchrank.rankstats import SignificanceConfig
+
+from oracles import _oracle_significant, greedy_oracle
 
 CFG = SignificanceConfig()
 

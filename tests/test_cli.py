@@ -111,6 +111,20 @@ class TestInputErrors:
         assert "error: input:" in capsys.readouterr().err
         assert not (workspace / "x.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_pca_overflowing_scores(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text(
+            "benchmark,model,score,stderr,n,direction\n"
+            "b0,A,1e200,0,,higher\nb0,B,-1e200,0,,higher\nb0,C,3e200,0,,higher\n"
+            "b1,A,1,0,,higher\nb1,B,2,0,,higher\nb1,C,3,0,,higher\n"
+        )
+        out = tmp_path / "p.json"
+        assert run_cli(["pca", "--scores", str(p), "--preprocess", "zscore", "--top-k", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: input:") and "overflow" in err[0]
+        assert not out.exists()
+
     def test_unwritable_output_path(self, workspace, capsys):
         blocker = workspace / "blocker"
         blocker.write_text("a file, not a directory\n")

@@ -10,7 +10,8 @@ from benchrank.lowrank import (
     fit_pca,
     pc1_compute_correlation,
 )
-from benchrank.oracles import eig2_oracle
+
+from oracles import eig2_oracle
 
 
 def matrix(scores):
@@ -115,6 +116,33 @@ class TestFitPca:
             r = fit_pca(matrix(scores))
             centered = scores.T - scores.T.mean(axis=0)
             assert float(r.pc1_scores @ centered.mean(axis=1)) >= 0.0
+
+    def test_pc1_sign_orthogonal_to_mean_score(self):
+        # the mean score is constant, so the anchor is 0 and the first
+        # nonzero loading decides the sign
+        r = fit_pca(matrix([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]]))
+        s = 1.0 / np.sqrt(2.0)
+        assert np.allclose(r.components[:, 0], [s, -s], atol=1e-12)
+        assert np.allclose(r.pc1_scores, [-3 * s, -s, s, 3 * s], atol=1e-12)
+
+    def test_wide_rank_deficient(self):
+        # more benchmarks than models: at most n_models - 1 nonzero eigenvalues
+        rng = np.random.default_rng(13)
+        scores = rank_one_matrix(rng, nb=80, nm=60).scores + 0.3 * rng.normal(size=(80, 60))
+        r = fit_pca(matrix(scores))
+        lam, v = r.eigenvalues, r.components
+        assert lam.shape == (80,) and v.shape == (80, 80)
+        assert np.all(lam >= 0) and np.all(np.diff(lam) <= 0)
+        cov = np.cov(scores)
+        assert np.linalg.norm(cov @ v - v * lam) / np.linalg.norm(cov) <= 1e-9
+        assert np.linalg.norm(v.T @ v - np.eye(80)) <= 1e-9
+        assert abs(float(lam.sum()) - float(np.trace(cov))) <= 1e-9 * float(np.trace(cov))
+
+    @pytest.mark.parametrize("preprocessing", ["center", "zscore"])
+    def test_overflow_rejected(self, preprocessing):
+        scores = [[1e200, -1e200, 3e200], [1.0, 2.0, 3.0]]
+        with pytest.raises(ValueError, match="overflows float64"):
+            fit_pca(matrix(scores), preprocessing=preprocessing)
 
     def test_zscore_normalizes_feature_scale(self):
         rng = np.random.default_rng(10)

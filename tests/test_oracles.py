@@ -5,7 +5,9 @@ import pytest
 
 from benchrank.alignment import PartialOrder
 from benchrank.core import DEGENERATE
-from benchrank.oracles import (
+from benchrank.rankstats import SignificanceConfig
+
+from oracles import (
     _linear_extensions,
     alignment_oracle,
     eig2_oracle,
@@ -13,7 +15,6 @@ from benchrank.oracles import (
     tau_oracle,
     taub_oracle,
 )
-from benchrank.rankstats import SignificanceConfig
 
 CFG = SignificanceConfig()
 

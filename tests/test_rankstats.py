@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from benchrank import rankstats
 from benchrank.core import DEGENERATE, AgreementMatrix, BenchmarkRecord, DegenerateError, make_score_matrix
-from benchrank.oracles import taub_oracle
 from benchrank.rankstats import (
     SignificanceConfig,
     TieError,
@@ -20,6 +19,8 @@ from benchrank.rankstats import (
     mean_agreement,
     significant_difference,
 )
+
+from oracles import taub_oracle
 
 CFG = SignificanceConfig()
 
