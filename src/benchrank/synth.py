@@ -16,7 +16,13 @@ and zero uplift the two modes coincide bit for bit.
 Randomness is organized as one substream per (benchmark, model) cell,
 derived from the seed and the cell coordinates, so generation is
 deterministic regardless of evaluation order and the two modes are
-exactly paired.
+exactly paired.  Cell (i, j) draws its preparation offset from the first
+and its binomial from the second child of
+``SeedSequence(seed, spawn_key=(i, j))``, each through its own PCG64.  The
+seed words of all those children are derived in one vectorised pass of
+SeedSequence's hash (entropy-pool mixing, then ``generate_state``) over
+every cell at once; the streams, and so the output, are identical to the
+ones per-cell ``SeedSequence`` objects give.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import DegenerateError, ScoreMatrix, make_score_matrix
 from .lowrank import fit_pca
@@ -43,6 +50,11 @@ def _per_benchmark(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``bool`` is not accepted as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the latent-factor score generator.
@@ -50,7 +62,9 @@ class SyntheticConfig:
     ``benchmark_loading``, ``benchmark_bias``, ``finetune_uplift`` and
     ``n_items`` accept a scalar (applied to every benchmark) or one value
     per benchmark.  ``flops_range`` spans the models' pre-training compute;
-    models are geometrically spaced across it.
+    models are geometrically spaced across it.  ``n_models``,
+    ``n_benchmarks``, ``seed`` and the ``n_items`` entries must be integers
+    (``bool`` is rejected) and ``seed`` must be >= 0.
     """
 
     n_models: int
@@ -66,6 +80,14 @@ class SyntheticConfig:
     n_items: int | Sequence[int] = 1000
 
     def __post_init__(self):
+        for name in ("n_models", "n_benchmarks", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        item_entries = (self.n_items,) if np.ndim(self.n_items) == 0 else self.n_items
+        if not all(_is_int(n) for n in item_entries):
+            raise ValueError(f"n_items entries must be integers, got {self.n_items!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_models < 2 or self.n_benchmarks < 2:
             raise ValueError(f"need >= 2 models and >= 2 benchmarks, got {self.n_models}, {self.n_benchmarks}")
         lo, hi = self.flops_range
@@ -125,9 +147,88 @@ def _logistic(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _cell_streams(seed: int, i: int, j: int) -> tuple[np.random.Generator, np.random.Generator]:
-    prep_ss, binom_ss = np.random.SeedSequence(seed, spawn_key=(i, j)).spawn(2)
-    return np.random.Generator(np.random.PCG64(prep_ss)), np.random.Generator(np.random.PCG64(binom_ss))
+# numpy.random.SeedSequence's hash: 32-bit words, a pool of 4, and the
+# multipliers of its entropy mixing (A), output (B) and pool mix (L, R).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_consts(init: int, mult: int):
+    """(xor, multiply) constants of successive hash calls; they do not depend on the data."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hash(value, consts):
+    x, m = next(consts)
+    value = (value ^ x) * m
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _cell_seed_words(seed: int, nb: int, nm: int) -> np.ndarray:
+    """Seed words of every cell's two child streams, shape (nb, nm, 2, 4), uint64.
+
+    Entry [i, j, k] equals
+    ``SeedSequence(seed, spawn_key=(i, j)).spawn(2)[k].generate_state(4, np.uint64)``,
+    that is the state of ``SeedSequence(seed, spawn_key=(i, j, k))``.  The
+    entropy is the seed's little-endian 32-bit words, zero-padded to the
+    pool size, then i, j and k.  Only the last three words differ between
+    cells, so the pool is mixed once from the seed and then, by
+    broadcasting, over the i, j and k axes.
+    """
+    run = []
+    n = int(seed)
+    while True:
+        run.append(n & _MASK32)
+        n >>= 32
+        if n == 0:
+            break
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.uint32(w) for w in run] + [
+        np.arange(nb, dtype=np.uint32)[:, None, None],
+        np.arange(nm, dtype=np.uint32)[None, :, None],
+        np.arange(2, dtype=np.uint32)[None, None, :],
+    ]
+    with np.errstate(over="ignore"):
+        consts = _hash_consts(_INIT_A, _MULT_A)
+        pool = [_hash(w, consts) for w in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+        for w in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hash(w, consts))
+        consts = _hash_consts(_INIT_B, _MULT_B)
+        state = [_hash(pool[t % _POOL_SIZE], consts) for t in range(8)]
+    # 8 uint32 words read as 4 little-endian uint64 words, as generate_state does
+    state = np.stack(state, axis=-1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _PresetSeed(ISeedSequence):
+    """Seeds a PCG64 with one precomputed row of ``_cell_seed_words``.
+
+    PCG64 asks its seed sequence for exactly 4 uint64 words, which the row is.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def generate(cfg: SyntheticConfig, mode: str) -> ScoreMatrix:
@@ -148,11 +249,13 @@ def generate(cfg: SyntheticConfig, mode: str) -> ScoreMatrix:
     g = cfg.capabilities()
     prep_scale = 1.0 if direct else cfg.residual_prep
     nb, nm = cfg.n_benchmarks, cfg.n_models
+    words = _cell_seed_words(cfg.seed, nb, nm)
     scores = np.empty((nb, nm))
     stderrs = np.empty((nb, nm))
     for i in range(nb):
         for j in range(nm):
-            prep_rng, binom_rng = _cell_streams(cfg.seed, i, j)
+            prep_rng = np.random.Generator(np.random.PCG64(_PresetSeed(words[i, j, 0])))
+            binom_rng = np.random.Generator(np.random.PCG64(_PresetSeed(words[i, j, 1])))
             prep = cfg.prep_sd * prep_rng.standard_normal()
             logit = a[i] * g[j] + b[i] + prep * prep_scale + (0.0 if direct else delta[i])
             q = _logistic(logit)

@@ -1,10 +1,11 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here is deliberately independent of the main modules: explicit
-pair loops, textbook formulas, exhaustive enumeration.  The only shared
-pieces are plain data types (significance configuration, partial orders).
-Runtimes are bounded by hard instance-size caps; none of this is meant to
-be fast.
+pair loops, textbook formulas, exhaustive enumeration, one seed object per
+simulated cell.  The only shared pieces are plain data types (significance
+configuration, partial orders, the simulator's configuration).  Runtimes
+are bounded by hard instance-size caps or by the caller's instance sizes;
+none of this is meant to be fast.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from benchrank.alignment import PartialOrder
 from benchrank.core import DEGENERATE, Degenerate
 from benchrank.rankstats import SignificanceConfig
+from benchrank.synth import SyntheticConfig
 
 
 def tau_oracle(x, y) -> float:
@@ -226,3 +228,46 @@ def eig2_oracle(cov) -> tuple[float, float]:
     half_trace = (a + d) / 2.0
     radius = math.sqrt(((a - d) / 2.0) ** 2 + b * b)
     return (half_trace + radius, half_trace - radius)
+
+
+def _oracle_logistic(z: float) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _oracle_cell_streams(seed: int, i: int, j: int) -> tuple[np.random.Generator, np.random.Generator]:
+    prep_ss, binom_ss = np.random.SeedSequence(seed, spawn_key=(i, j)).spawn(2)
+    return np.random.Generator(np.random.PCG64(prep_ss)), np.random.Generator(np.random.PCG64(binom_ss))
+
+
+def generate_oracle(cfg: SyntheticConfig, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated (scores, stderrs) with three ``SeedSequence`` objects per cell.
+
+    The per-cell loop of ``synth.generate`` before its seeds were derived
+    in one vectorised pass: cell (i, j) spawns two children of
+    ``SeedSequence(seed, spawn_key=(i, j))`` and draws the preparation
+    offset from the first and the binomial from the second.  Reads the
+    config only through its per-benchmark and per-model accessors.
+    """
+    direct = mode == "direct"
+    a = cfg.loadings()
+    b = cfg.biases()
+    delta = cfg.uplifts()
+    items = cfg.items()
+    g = cfg.capabilities()
+    prep_scale = 1.0 if direct else cfg.residual_prep
+    nb, nm = cfg.n_benchmarks, cfg.n_models
+    scores = np.empty((nb, nm))
+    stderrs = np.empty((nb, nm))
+    for i in range(nb):
+        for j in range(nm):
+            prep_rng, binom_rng = _oracle_cell_streams(cfg.seed, i, j)
+            prep = cfg.prep_sd * prep_rng.standard_normal()
+            logit = a[i] * g[j] + b[i] + prep * prep_scale + (0.0 if direct else delta[i])
+            q = _oracle_logistic(logit)
+            score = binom_rng.binomial(int(items[i]), q) / items[i]
+            scores[i, j] = score
+            stderrs[i, j] = math.sqrt(score * (1.0 - score) / items[i])
+    return scores, stderrs

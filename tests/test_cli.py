@@ -140,6 +140,29 @@ class TestInputErrors:
         cfg.write_text(json.dumps({"n_models": 4, "n_benchmarks": 3, "mystery": 1}))
         assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": [1, 2]},
+            {"seed": -3},
+            {"n_items": 2.7},
+            {"n_models": 4.5},
+        ],
+        ids=repr,
+    )
+    def test_simulate_non_integer_config_field(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_models": 4, "n_benchmarks": 3, "seed": 5, **bad}))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: input:")
+        assert not out.exists()
+
     def test_report_model_set_mismatch(self, workspace, tmp_path):
         other = tmp_path / "other.csv"
         text = (workspace / "direct.csv").read_text().replace("model00", "intruder")

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from benchrank.core import validate_score_matrix
 from benchrank.rankstats import _defined_mean, agreement_matrix
-from benchrank.synth import SyntheticConfig, generate, paired_experiment
+from benchrank.synth import SyntheticConfig, _cell_seed_words, generate, paired_experiment
+
+from oracles import generate_oracle
+
+# seeds of one to three 32-bit words, at and around the word boundaries
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**73 + 0x1234567]
 
 
 def cfg(**overrides):
@@ -36,11 +42,34 @@ class TestConfigValidation:
             {"finetune_uplift": -0.2},
             {"n_items": 0},
             {"n_items": [100, 100, 100]},
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": [1, 2]},
+            {"seed": -1},
+            {"seed": np.float64(3.0)},
+            {"n_models": 4.5},
+            {"n_models": 8.0},
+            {"n_models": True},
+            {"n_benchmarks": "4"},
+            {"n_items": 2.7},
+            {"n_items": True},
+            {"n_items": [100, 100, 2.7, 100]},
+            {"n_items": [100, 100, False, 100]},
+            {"n_items": "400"},
         ],
     )
     def test_invalid_config(self, overrides):
         with pytest.raises(ValueError):
             cfg(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        c = cfg(n_models=np.int64(8), n_benchmarks=np.int32(4), seed=np.uint64(2**64 - 1), n_items=np.int64(400))
+        ref = cfg(seed=2**64 - 1)
+        assert np.array_equal(generate(c, "direct").scores, generate(ref, "direct").scores)
+        per_bench = cfg(n_items=np.array([100, 200, 300, 400]))
+        assert np.array_equal(per_bench.items(), [100, 200, 300, 400])
 
     def test_scalar_broadcast(self):
         c = cfg(benchmark_loading=1.5, n_items=250)
@@ -56,6 +85,102 @@ class TestConfigValidation:
         c = cfg()
         assert list(c.model_ids()) == sorted(c.model_ids())
         assert list(c.benchmark_ids()) == sorted(c.benchmark_ids())
+
+
+class TestSeedDerivation:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 9), (1, 3)])
+    def test_words_match_seed_sequence(self, seed, shape):
+        nb, nm = shape
+        words = _cell_seed_words(seed, nb, nm)
+        assert words.dtype == np.uint64 and words.shape == (nb, nm, 2, 4)
+        for i in range(nb):
+            for j in range(nm):
+                children = np.random.SeedSequence(seed, spawn_key=(i, j)).spawn(2)
+                for k in range(2):
+                    assert np.array_equal(words[i, j, k], children[k].generate_state(4, np.uint64)), (i, j, k)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_generate_matches_oracle_byte_for_byte(self, chunk):
+        # 4 x 50 seeded configs, both modes each: scalar and per-benchmark
+        # n_items, prep_sd 0, residual_prep 0 and 1, and seeds up to 74 bits
+        rng = np.random.default_rng(1000 + chunk)
+        for k in range(50):
+            nb, nm = int(rng.integers(2, 8)), int(rng.integers(2, 10))
+            seed = int(rng.integers(0, 2**20)) if k % 3 else SEEDS[k % len(SEEDS)] + k
+            if k % 2:
+                n_items = int(rng.integers(1, 3000))
+            else:
+                n_items = [int(n) for n in rng.integers(1, 3000, size=nb)]
+            c = SyntheticConfig(
+                n_models=nm,
+                n_benchmarks=nb,
+                seed=seed,
+                capability_slope=float(rng.uniform(0.2, 3.0)),
+                benchmark_loading=rng.uniform(0.5, 1.5, size=nb).tolist(),
+                benchmark_bias=float(rng.uniform(-1.0, 1.0)),
+                prep_sd=0.0 if k % 5 == 0 else float(rng.uniform(0.0, 1.5)),
+                residual_prep=(0.0, 1.0, float(rng.uniform()))[k % 3],
+                finetune_uplift=rng.uniform(0.0, 0.5, size=nb).tolist(),
+                n_items=n_items,
+            )
+            for mode in ("direct", "train_before_test"):
+                m = generate(c, mode)
+                scores, stderrs = generate_oracle(c, mode)
+                assert m.scores.tobytes() == scores.tobytes(), (k, mode)
+                assert m.stderrs.tobytes() == stderrs.tobytes(), (k, mode)
+
+
+# sha256 of scores.tobytes() + stderrs.tobytes(), recorded with one
+# SeedSequence object per cell; a change of the random-number layout fails here
+GOLDEN = [
+    (
+        dict(n_models=8, n_benchmarks=4, seed=1, n_items=400),
+        "direct",
+        "fef07c592320c8a6256fa86a3f577901e63bae69420a495df4243c7f2a06e4e2",
+    ),
+    (
+        dict(
+            n_models=12,
+            n_benchmarks=6,
+            seed=7,
+            n_items=2000,
+            prep_sd=0.5,
+            residual_prep=0.0,
+            finetune_uplift=0.25,
+            benchmark_loading=[0.7, 0.8, 0.95, 1.05, 1.2, 1.3],
+            benchmark_bias=[-0.3, -0.15, 0.0, 0.1, 0.2, 0.3],
+        ),
+        "train_before_test",
+        "4675a7b0d16171e437fe411f09b3bda9b17188ab4d5b58783b10f81dbe4445e1",
+    ),
+    (
+        dict(
+            n_models=9,
+            n_benchmarks=7,
+            seed=2**64 + 3,
+            n_items=[50, 100, 150, 200, 250, 300, 350],
+            prep_sd=0.8,
+            residual_prep=0.3,
+        ),
+        "train_before_test",
+        "dcf76b26eb132a2f8c5142eec77674986dfd06c9547c9065e516902535fe3b53",
+    ),
+    (
+        dict(n_models=80, n_benchmarks=60, seed=2**32, n_items=1000, prep_sd=0.5),
+        "direct",
+        "ec7e09efe75c488beecec3b23162004ca41a6c31174d2d31d778228222621ff4",
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, mode, digest", GOLDEN, ids=["8x4", "12x6-tbt", "9x7-seed2**64+3-tbt", "80x60"])
+def test_golden_digest(kwargs, mode, digest):
+    c = SyntheticConfig(**kwargs)
+    m = generate(c, mode)
+    assert hashlib.sha256(m.scores.tobytes() + m.stderrs.tobytes()).hexdigest() == digest
+    scores, stderrs = generate_oracle(c, mode)
+    assert hashlib.sha256(scores.tobytes() + stderrs.tobytes()).hexdigest() == digest
 
 
 class TestGenerate:
