@@ -7,7 +7,10 @@ compute accounting), ``simulate`` (synthetic score matrices), ``report``
 (all figure-data tables for a direct vs train-before-test pair of score
 matrices).
 
-Exit codes: 0 success, 1 usage error, 2 input validation failure or an
+Every artifact embeds one run manifest, built from the parsed arguments
+before the subcommand runs: each file argument with its sha256, and every
+other option with its resolved value.  Exit codes: 0 success, 1 usage error
+(reported before any input is read), 2 input validation failure or an
 unwritable artifact path, 3 numerical degeneracy.  One machine-parsable
 reason line is printed to stderr on failure.  No artifact file is written
 when a run fails before writing; when writing itself fails, the files
@@ -65,6 +68,9 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 _CLI_MODES = {"direct": "direct", "tbt": "train_before_test"}
+#: Parsed arguments that name input files; the manifest records each with its
+#: sha256.  Every other parsed option is recorded as a flag.
+_INPUT_ARGS = ("scores", "scores_a", "scores_b", "scores_direct", "scores_tbt", "categories", "models", "config")
 
 
 class UsageError(Exception):
@@ -76,6 +82,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse ``type=`` validators: a bad value is a usage error before any input is read
+def _alpha(text: str) -> float:
+    try:
+        return SignificanceConfig(alpha=float(text)).alpha
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _top_k(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return k
+
+
+def _align_pair(text: str) -> str:
+    if ":" not in text:
+        raise argparse.ArgumentTypeError(f"must look like BENCH_A:BENCH_B, got {text!r}")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="benchrank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"benchrank {__version__}")
@@ -84,7 +114,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("agree", help="pairwise rank agreement between benchmarks")
     p.add_argument("--scores", required=True)
     p.add_argument("--method", choices=["tau", "tau-b"], default="tau")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_agree)
 
@@ -93,14 +123,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--scores-b", required=True)
     p.add_argument("--benchmark-a", required=True)
     p.add_argument("--benchmark-b", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_align)
 
     p = sub.add_parser("pca", help="explained variance and pc1 scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--preprocess", choices=["center", "zscore"], default="center")
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=_top_k, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_pca)
 
@@ -125,17 +155,14 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--align-pair",
         action="append",
-        default=None,
+        dest="align_pairs",
+        default=[],
+        type=_align_pair,
         metavar="BENCH_A:BENCH_B",
         help="benchmark pair for the alignment table (repeatable; default: first two benchmarks)",
     )
     p.set_defaults(handler=_cmd_report)
     return parser
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {alpha}")
 
 
 def _matrix_cells(values: np.ndarray, mask: np.ndarray) -> list[list[float | None]]:
@@ -149,14 +176,7 @@ def _payload(kind: str, manifest: RunManifest) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind, "manifest": manifest.to_dict()}
 
 
-def _cmd_agree(args) -> list[tuple[Path, str]]:
-    _check_alpha(args.alpha)
-    manifest = RunManifest.build(
-        "agree",
-        {"scores": args.scores},
-        {"method": args.method, "alpha": args.alpha, "out": args.out},
-        __version__,
-    )
+def _cmd_agree(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m = load_scores(args.scores)
     cfg = SignificanceConfig(alpha=args.alpha)
     am = agreement_matrix(m, method=args.method.replace("-", "_"), cfg=cfg)
@@ -218,19 +238,7 @@ def _aligned_pair_table(
     }
 
 
-def _cmd_align(args) -> list[tuple[Path, str]]:
-    _check_alpha(args.alpha)
-    manifest = RunManifest.build(
-        "align",
-        {"scores_a": args.scores_a, "scores_b": args.scores_b},
-        {
-            "benchmark_a": args.benchmark_a,
-            "benchmark_b": args.benchmark_b,
-            "alpha": args.alpha,
-            "out": args.out,
-        },
-        __version__,
-    )
+def _cmd_align(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     ma = load_scores(args.scores_a)
     mb = load_scores(args.scores_b)
     cfg = SignificanceConfig(alpha=args.alpha)
@@ -240,15 +248,7 @@ def _cmd_align(args) -> list[tuple[Path, str]]:
     return [(Path(args.out), render_artifact(payload))]
 
 
-def _cmd_pca(args) -> list[tuple[Path, str]]:
-    if args.top_k < 1:
-        raise UsageError(f"--top-k must be >= 1, got {args.top_k}")
-    manifest = RunManifest.build(
-        "pca",
-        {"scores": args.scores},
-        {"preprocess": args.preprocess, "top_k": args.top_k, "out": args.out},
-        __version__,
-    )
+def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m = load_scores(args.scores)
     result = fit_pca(m, preprocessing=args.preprocess)
     if args.top_k > result.n_components:
@@ -273,25 +273,21 @@ def _cmd_pca(args) -> list[tuple[Path, str]]:
     return [(Path(args.out), render_artifact(payload))]
 
 
-def _cmd_flops(args) -> list[tuple[Path, str]]:
-    manifest = RunManifest.build("flops", {"models": args.models}, {"out": args.out}, __version__)
+def _cmd_flops(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     records = load_model_metadata(args.models)
-    rows = []
-    excluded = []
-    for rec in records:
-        if rec.token_count is None:
-            excluded.append(rec.model_id)
-            continue
-        rows.append(
-            {
-                "model": rec.model_id,
-                "family": rec.family,
-                "params_b": rec.param_count,
-                "tokens_b": rec.token_count,
-                "instruction_tuned": rec.instruction_tuned,
-                "flops": compute_flops(rec.param_count, rec.token_count),
-            }
-        )
+    rows = [
+        {
+            "model": rec.model_id,
+            "family": rec.family,
+            "params_b": rec.param_count,
+            "tokens_b": rec.token_count,
+            "instruction_tuned": rec.instruction_tuned,
+            "flops": compute_flops(rec.param_count, rec.token_count),
+        }
+        for rec in records
+        if rec.token_count is not None
+    ]
+    excluded = [rec.model_id for rec in records if rec.token_count is None]
     payload = _payload("flops", manifest)
     payload.update({"models": rows, "excluded": excluded})
     return [(Path(args.out), render_artifact(payload))]
@@ -304,35 +300,20 @@ def _load_synth_config(path: str) -> SyntheticConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise LoadError(f"{path}: unknown config keys {unknown}")
-    if "flops_range" in raw:
-        try:
-            lo, hi = raw["flops_range"]
-        except (TypeError, ValueError):
-            raise LoadError(f"{path}: flops_range must be [min, max]") from None
-        raw["flops_range"] = (float(lo), float(hi))
     try:
         return SyntheticConfig(**raw)
     except (TypeError, ValueError) as e:
         raise LoadError(f"{path}: {e}") from e
 
 
-def _cmd_simulate(args) -> list[tuple[Path, str]]:
+def _cmd_simulate(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     cfg = _load_synth_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    manifest = RunManifest.build(
-        "simulate",
-        {"config": args.config},
-        {"mode": args.mode, "seed": cfg.seed, "out": args.out},
-        __version__,
-    )
+    manifest = replace(manifest, flags={**manifest.flags, "seed": cfg.seed})
     m = generate(cfg, _CLI_MODES[args.mode])
-    fmt = infer_format(args.out)
-    if fmt == "long-csv":
-        text = render_scores_csv(m, manifest)
-    else:
-        text = render_scores_json(m, manifest)
-    return [(Path(args.out), text)]
+    render = render_scores_csv if infer_format(args.out) == "long-csv" else render_scores_json
+    return [(Path(args.out), render(m, manifest))]
 
 
 def _reorder_like(m: ScoreMatrix, benchmark_ids, model_ids) -> ScoreMatrix:
@@ -367,18 +348,7 @@ def _perplexity_block(am, ppl: list[str]) -> dict:
     }
 
 
-def _cmd_report(args) -> list[tuple[Path, str]]:
-    manifest = RunManifest.build(
-        "report",
-        {
-            "scores_direct": args.scores_direct,
-            "scores_tbt": args.scores_tbt,
-            "categories": args.categories,
-            "models": args.models,
-        },
-        {"out_dir": args.out_dir, "align_pairs": args.align_pair or []},
-        __version__,
-    )
+def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m_direct = load_scores(args.scores_direct)
     m_tbt = load_scores(args.scores_tbt)
     if set(m_direct.benchmark_ids) != set(m_tbt.benchmark_ids):
@@ -456,14 +426,12 @@ def _cmd_report(args) -> list[tuple[Path, str]]:
         taus[name] = tau
     fig7["tau"] = taus
 
-    pairs = args.align_pair or [f"{m_direct.benchmark_ids[0]}:{m_direct.benchmark_ids[1]}"]
+    pairs = args.align_pairs or [f"{m_direct.benchmark_ids[0]}:{m_direct.benchmark_ids[1]}"]
     cfg = SignificanceConfig()
     fig1 = _payload("alignment", manifest)
     fig1["alpha"] = cfg.alpha
     fig1["tables"] = []
     for spec in pairs:
-        if ":" not in spec:
-            raise UsageError(f"--align-pair must look like BENCH_A:BENCH_B, got {spec!r}")
         bench_a, bench_b = spec.split(":", 1)
         for name, m in modes.items():
             table = _aligned_pair_table(m, m, bench_a, bench_b, cfg)
@@ -491,11 +459,11 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as e:
         return int(e.code or 0)
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler")}
+    inputs = {k: options.pop(k) for k in _INPUT_ARGS if k in options}
     try:
-        writes = args.handler(args)
-    except UsageError as e:
-        print(f"error: usage: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        manifest = RunManifest.build(args.subcommand, inputs, options, __version__)
+        writes = args.handler(args, manifest)
     except (TieError, DegenerateError) as e:
         print(f"error: degenerate: {e}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -47,8 +47,18 @@ class LoadError(ValueError):
     """Malformed input file; the message carries the line number when known."""
 
 
+def _read(path: str | Path, binary: bool = False) -> str | bytes:
+    """The file's bytes, or its UTF-8 text; a missing or undecodable file raises :class:`LoadError`."""
+    try:
+        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise LoadError(f"{path}: file not found") from None
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read(path, binary=True)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -141,10 +151,7 @@ def save_scores(path: str | Path, m: ScoreMatrix, fmt: str | None = None, manife
 
 def _parse_csv_lines(path: str | Path, expected_header: list[str]):
     """Yield (line_number, fields) for data rows after checking the header."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise LoadError(f"{path}: file not found") from None
+    text = _read(path)
     rows = []
     header_seen = False
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -242,10 +249,9 @@ def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
 
 def load_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level is an object; any failure raises :class:`LoadError`."""
+    text = _read(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LoadError(f"{path}: file not found") from None
+        payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise LoadError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(payload, dict):

@@ -55,6 +55,19 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float that is finite as a float; ``bool`` is not accepted as one."""
+    try:
+        return (_is_int(value) or isinstance(value, (float, np.floating))) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _entries(value):
+    """A scalar-or-per-benchmark field's entries: a scalar is its own single entry."""
+    return (value,) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters of the latent-factor score generator.
@@ -62,9 +75,11 @@ class SyntheticConfig:
     ``benchmark_loading``, ``benchmark_bias``, ``finetune_uplift`` and
     ``n_items`` accept a scalar (applied to every benchmark) or one value
     per benchmark.  ``flops_range`` spans the models' pre-training compute;
-    models are geometrically spaced across it.  ``n_models``,
-    ``n_benchmarks``, ``seed`` and the ``n_items`` entries must be integers
-    (``bool`` is rejected) and ``seed`` must be >= 0.
+    models are geometrically spaced across it and it is stored as a tuple
+    of floats.  ``n_models``, ``n_benchmarks``, ``seed`` and the ``n_items``
+    entries must be integers and ``seed`` must be >= 0; every other field
+    (each entry of a per-benchmark one, both ends of ``flops_range``) must
+    be a finite real number.  ``bool`` is neither.
     """
 
     n_models: int
@@ -83,9 +98,18 @@ class SyntheticConfig:
         for name in ("n_models", "n_benchmarks", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        item_entries = (self.n_items,) if np.ndim(self.n_items) == 0 else self.n_items
-        if not all(_is_int(n) for n in item_entries):
+        if not all(_is_int(n) for n in _entries(self.n_items)):
             raise ValueError(f"n_items entries must be integers, got {self.n_items!r}")
+        for name in ("capability_slope", "prep_sd", "residual_prep"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
+        for name in ("benchmark_loading", "benchmark_bias", "finetune_uplift"):
+            if not all(_is_real(v) for v in _entries(getattr(self, name))):
+                raise ValueError(f"{name} entries must be finite real numbers, got {getattr(self, name)!r}")
+        ends = _entries(self.flops_range)
+        if len(ends) != 2 or not all(_is_real(v) for v in ends):
+            raise ValueError(f"flops_range must be [min, max] of finite real numbers, got {self.flops_range!r}")
+        object.__setattr__(self, "flops_range", tuple(float(v) for v in ends))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_models < 2 or self.n_benchmarks < 2:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from benchrank import __version__
 from benchrank.cli import run_cli
-from benchrank.io import load_artifact, load_scores
+from benchrank.io import file_sha256, load_artifact, load_scores
 
 SIM_CONFIG = {
     "n_models": 8,
@@ -43,6 +44,31 @@ def workspace(tmp_path):
     )
     return tmp_path
 
+
+def _manifest_of(path) -> dict:
+    """The manifest of a JSON artifact, or of a score CSV's ``# manifest:`` comment line."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        prefix = "# manifest: "
+        (line,) = [l for l in text.splitlines() if l.startswith(prefix)]
+        return json.loads(line[len(prefix):])
+    return json.loads(text)["manifest"]
+
+
+def _inputs(**paths) -> dict:
+    return {name: {"path": p, "sha256": file_sha256(p)} for name, p in paths.items()}
+
+
+REPORT_INPUTS = dict(scores_direct="direct.csv", scores_tbt="tbt.csv", categories="cats.csv", models="models.csv")
+REPORT_ARGV = [
+    "report",
+    "--scores-direct", "direct.csv",
+    "--scores-tbt", "tbt.csv",
+    "--categories", "cats.csv",
+    "--models", "models.csv",
+    "--out-dir", "rep",
+]
+REPORT_FILES = ["mean_agreement.json", "category_agreement.json", "evr.json", "pc1_compute.json", "alignment.json"]
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -151,6 +177,15 @@ class TestInputErrors:
             {"seed": -3},
             {"n_items": 2.7},
             {"n_models": 4.5},
+            {"flops_range": [None, 1e23]},
+            {"flops_range": [1e19, True]},
+            {"flops_range": 5},
+            {"capability_slope": None},
+            {"capability_slope": "x"},
+            {"prep_sd": float("inf")},
+            {"residual_prep": float("nan")},
+            {"benchmark_bias": [0.0, None, 0.0]},
+            {"finetune_uplift": "0.1"},
         ],
         ids=repr,
     )
@@ -162,6 +197,41 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: input:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["agree", "--scores", "nope.csv", "--out", "o.json"], "nope.csv"),
+            (["align", "--scores-a", "direct.csv", "--scores-b", "nope.csv",
+              "--benchmark-a", "bench00", "--benchmark-b", "bench01", "--out", "o.json"], "nope.csv"),
+            (["pca", "--scores", "nope.json", "--out", "o.json"], "nope.json"),
+            (["flops", "--models", "nope.csv", "--out", "o.json"], "nope.csv"),
+            (["simulate", "--config", "nope.json", "--mode", "direct", "--out", "o.csv"], "nope.json"),
+            (["nope.csv" if a == "models.csv" else a for a in REPORT_ARGV], "nope.csv"),
+        ],
+        ids=["agree", "align", "pca", "flops", "simulate", "report"],
+    )
+    def test_missing_input_names_the_file(self, workspace, monkeypatch, capsys, argv, missing):
+        monkeypatch.chdir(workspace)
+        before = set(workspace.iterdir())
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: input: {missing}: file not found"]
+        assert set(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("subcommand", ["agree", "simulate"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, subcommand):
+        if subcommand == "agree":
+            bad = tmp_path / "latin1.csv"
+            bad.write_bytes("benchmark,model,score,stderr,n,direction\nb0,caf\u00e9,0.5,0,,higher\n".encode("latin-1"))
+            argv = ["agree", "--scores", str(bad), "--out", str(tmp_path / "o.json")]
+        else:
+            bad = tmp_path / "latin1.json"
+            bad.write_bytes('{"n_models": 4, "n_benchmarks": 3, "note": "caf\u00e9"}'.encode("latin-1"))
+            argv = ["simulate", "--config", str(bad), "--mode", "direct", "--out", str(tmp_path / "o.csv")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: {bad}: ")
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_report_model_set_mismatch(self, workspace, tmp_path):
         other = tmp_path / "other.csv"
@@ -281,6 +351,108 @@ class TestSubcommandArtifacts:
         first = out.read_bytes()
         assert run_cli(argv) == 0
         assert out.read_bytes() == first
+
+
+# (argv, artifacts written, inputs by name, flags): run with relative paths
+# from inside the workspace, so every recorded path is exactly as given.
+MANIFEST_CASES = {
+    "simulate-config-seed": (
+        ["simulate", "--config", "sim.json", "--mode", "tbt", "--out", "s.csv"],
+        ["s.csv"],
+        dict(config="sim.json"),
+        {"mode": "tbt", "seed": 11, "out": "s.csv"},
+    ),
+    "simulate-seed-flag": (
+        ["simulate", "--config", "sim.json", "--mode", "direct", "--seed", "5", "--out", "s.json"],
+        ["s.json"],
+        dict(config="sim.json"),
+        {"mode": "direct", "seed": 5, "out": "s.json"},
+    ),
+    "report-default-pair": (
+        REPORT_ARGV,
+        [f"rep/{name}" for name in REPORT_FILES],
+        REPORT_INPUTS,
+        {"out_dir": "rep", "align_pairs": []},
+    ),
+    "report-align-pairs": (
+        REPORT_ARGV + ["--align-pair", "bench01:bench03", "--align-pair", "bench00:bench04"],
+        [f"rep/{name}" for name in REPORT_FILES],
+        REPORT_INPUTS,
+        {"out_dir": "rep", "align_pairs": ["bench01:bench03", "bench00:bench04"]},
+    ),
+    "agree": (
+        ["agree", "--scores", "direct.csv", "--method", "tau-b", "--out", "a.json"],
+        ["a.json"],
+        dict(scores="direct.csv"),
+        {"method": "tau-b", "alpha": 0.05, "out": "a.json"},
+    ),
+    "align": (
+        [
+            "align",
+            "--scores-a", "direct.csv",
+            "--scores-b", "tbt.csv",
+            "--benchmark-a", "bench00",
+            "--benchmark-b", "bench03",
+            "--alpha", "0.1",
+            "--out", "al.json",
+        ],
+        ["al.json"],
+        dict(scores_a="direct.csv", scores_b="tbt.csv"),
+        {"benchmark_a": "bench00", "benchmark_b": "bench03", "alpha": 0.1, "out": "al.json"},
+    ),
+    "pca": (
+        ["pca", "--scores", "tbt.csv", "--preprocess", "zscore", "--out", "p.json"],
+        ["p.json"],
+        dict(scores="tbt.csv"),
+        {"preprocess": "zscore", "top_k": 5, "out": "p.json"},
+    ),
+    "flops": (
+        ["flops", "--models", "models.csv", "--out", "f.json"],
+        ["f.json"],
+        dict(models="models.csv"),
+        {"out": "f.json"},
+    ),
+}
+
+
+class TestManifestContract:
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_manifest_lists_inputs_and_flags(self, workspace, monkeypatch, case):
+        argv, artifacts, inputs, flags = MANIFEST_CASES[case]
+        monkeypatch.chdir(workspace)
+        assert run_cli(argv) == 0
+        expected = {
+            "subcommand": argv[0],
+            "tool_version": __version__,
+            "inputs": _inputs(**inputs),
+            "flags": flags,
+        }
+        for name in artifacts:
+            assert _manifest_of(workspace / name) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["agree", "--scores", "nope.csv", "--alpha", "1.5", "--out", "a.json"],
+            ["pca", "--scores", "nope.csv", "--top-k", "0", "--out", "p.json"],
+            [
+                "report",
+                "--scores-direct", "nope.csv",
+                "--scores-tbt", "nope.csv",
+                "--categories", "nope.csv",
+                "--models", "nope.csv",
+                "--out-dir", "rep",
+                "--align-pair", "nocolon",
+            ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_usage_error_precedes_missing_input(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage:")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReport:

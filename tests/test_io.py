@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestLoadScoresCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError, match="not found"):
             load_scores(tmp_path / "absent.csv")
+
+    def test_missing_or_undecodable_file_names_its_path(self, tmp_path):
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(LoadError, match=f"^{re.escape(str(absent))}: file not found$"):
+            file_sha256(absent)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("benchmark,category\ncaf\u00e9,LU\n".encode("latin-1"))
+        assert len(file_sha256(latin1)) == 64
+        for load in (load_scores, load_benchmark_categories, load_artifact):
+            with pytest.raises(LoadError, match=f"^{re.escape(str(latin1))}: not UTF-8 text"):
+                load(latin1)
 
     def test_infer_format(self, tmp_path):
         assert infer_format("x.csv") == "long-csv"

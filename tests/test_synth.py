@@ -58,11 +58,46 @@ class TestConfigValidation:
             {"n_items": [100, 100, 2.7, 100]},
             {"n_items": [100, 100, False, 100]},
             {"n_items": "400"},
+            {"flops_range": (None, 1e23)},
+            {"flops_range": (1e19, np.inf)},
+            {"flops_range": (1e19, True)},
+            {"flops_range": (1e19,)},
+            {"flops_range": (1e19, 1e21, 1e23)},
+            {"flops_range": 1e23},
+            {"flops_range": "ab"},
+            {"capability_slope": None},
+            {"capability_slope": "x"},
+            {"capability_slope": True},
+            {"capability_slope": [1.0, 2.0]},
+            {"capability_slope": np.nan},
+            {"prep_sd": np.inf},
+            {"prep_sd": None},
+            {"residual_prep": np.nan},
+            {"residual_prep": "0.5"},
+            {"benchmark_loading": [1.0, np.nan, 1.0, 1.0]},
+            {"benchmark_loading": True},
+            {"benchmark_bias": [0.0, None, 0.0, 0.0]},
+            {"benchmark_bias": -np.inf},
+            {"finetune_uplift": "x"},
+            {"finetune_uplift": [0.0, 0.0, 10**400, 0.0]},
         ],
     )
     def test_invalid_config(self, overrides):
         with pytest.raises(ValueError):
             cfg(**overrides)
+
+    def test_real_fields_accept_integers_and_numpy_numbers(self):
+        c = cfg(
+            capability_slope=np.float32(1.5),
+            flops_range=[10**19, np.float64(1e23)],
+            benchmark_loading=[1, 2, np.int64(3), 4.0],
+            prep_sd=1,
+            residual_prep=np.float64(0.5),
+        )
+        assert c.flops_range == (1e19, 1e23) and all(type(v) is float for v in c.flops_range)
+        ref = cfg(capability_slope=1.5, benchmark_loading=[1.0, 2.0, 3.0, 4.0], prep_sd=1.0, residual_prep=0.5)
+        for mode in ("direct", "train_before_test"):
+            assert np.array_equal(generate(c, mode).scores, generate(ref, mode).scores)
 
     def test_numpy_integers_accepted(self):
         c = cfg(n_models=np.int64(8), n_benchmarks=np.int32(4), seed=np.uint64(2**64 - 1), n_items=np.int64(400))
