@@ -54,7 +54,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .rankstats import SignificanceConfig, _pair_signs, _significant_pairs
+from .rankstats import SignificanceConfig, _sign_blocks
 
 
 class AlignmentError(ValueError):
@@ -149,9 +149,9 @@ def build_partial_order(
     if (stderrs < 0).any():
         raise AlignmentError("standard errors must be >= 0")
     ids = _default_ids(len(scores), model_ids)
-    signs = _pair_signs(scores, stderrs, cfg.critical_z)
-    winners, losers = _significant_pairs(signs, len(ids))
-    return PartialOrder(ids, winners, losers)
+    wins = [(a, np.nonzero(signs > 0)) for a, signs in _sign_blocks(scores, stderrs, cfg.critical_z)]
+    winners = np.concatenate([rows + a for a, (rows, _) in wins])
+    return PartialOrder(ids, winners, np.concatenate([losers for _, (_, losers) in wins]))
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:
@@ -269,9 +269,9 @@ def rank_models(
 def crossing_count(a: AlignedRanking) -> int:
     """Number of model pairs ranked in opposite relative order by the two tasks.
 
-    Ranks are distinct, so every pair has sign +1 or -1 in each ranking and
-    the crossings are the pairs whose signs differ: (P - S1 . S2) / 2.
+    Ranks are distinct, so every pair has sign +1 or -1 in each ranking;
+    the crossings are the pairs whose signs differ, seen twice in the square.
     """
     ranks = np.array([[a.rank1[m] for m in a.order1], [a.rank2[m] for m in a.order1]], dtype=float)
-    s1, s2 = _pair_signs(ranks, np.zeros_like(ranks), 1.0)
-    return int(np.count_nonzero(s1 != s2))
+    blocks = _sign_blocks(ranks, np.zeros_like(ranks), 1.0)
+    return sum(int(np.count_nonzero(s1 != s2)) for _, (s1, s2) in blocks) // 2

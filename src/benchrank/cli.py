@@ -90,14 +90,17 @@ def _alpha(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _top_k(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return k
+def _int_at_least(n: int):
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            k = n - 1
+        if k < n:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {n}, got {text!r}")
+        return k
+
+    return parse
 
 
 def _align_pair(text: str) -> str:
@@ -130,7 +133,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pca", help="explained variance and pc1 scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--preprocess", choices=["center", "zscore"], default="center")
-    p.add_argument("--top-k", type=_top_k, default=5)
+    p.add_argument("--top-k", type=_int_at_least(1), default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_pca)
 
@@ -142,7 +145,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a synthetic score matrix")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=sorted(_CLI_MODES), required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -358,6 +361,9 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m_tbt = _reorder_like(m_tbt, m_direct.benchmark_ids, m_direct.model_ids)
     cats = load_benchmark_categories(args.categories)
     metadata = load_model_metadata(args.models)
+    pairs = [spec.split(":", 1) for spec in args.align_pairs] or [m_direct.benchmark_ids[:2]]
+    for bench in [b for pair in pairs for b in pair]:
+        m_direct.benchmark_index(bench)  # an unknown id fails here, before any computation
     compute_records = [
         ComputeRecord(rec.model_id, compute_flops(rec.param_count, rec.token_count))
         for rec in metadata
@@ -426,13 +432,11 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         taus[name] = tau
     fig7["tau"] = taus
 
-    pairs = args.align_pairs or [f"{m_direct.benchmark_ids[0]}:{m_direct.benchmark_ids[1]}"]
     cfg = SignificanceConfig()
     fig1 = _payload("alignment", manifest)
     fig1["alpha"] = cfg.alpha
     fig1["tables"] = []
-    for spec in pairs:
-        bench_a, bench_b = spec.split(":", 1)
+    for bench_a, bench_b in pairs:
         for name, m in modes.items():
             table = _aligned_pair_table(m, m, bench_a, bench_b, cfg)
             table["mode"] = name

@@ -7,15 +7,18 @@ z-test given the standard errors, and applies the usual tie adjustment
 (C - D) / sqrt((C + D + Tx)(C + D + Ty)).  With all standard errors zero
 and no exact ties the two agree bit for bit.
 
-All of it, and the partial orders of :mod:`~benchrank.alignment`, rests
-on one kernel, ``_pair_signs``: per benchmark, +1 or -1 for each of the
-P = n(n-1)/2 model pairs whose gap is significant, 0 for a tie.  Pairs are
-concordant when their signs agree; score gaps are never multiplied (the
-product can underflow).  With S the B x P signs and N = |S|, the counts
-of all benchmark pairs are integer Gram matrices:
-C - D = S S^T, C + D = N N^T, Tx = (1 - N) N^T and Ty = Tx^T.  Summed,
-C + D + Tx for benchmarks (a, b) is the number of pairs significant on b,
-a row count of N, so tau-b needs only S S^T and those counts.
+All of it, and the partial orders and crossing counts of
+:mod:`~benchrank.alignment`, rests on one kernel, ``_sign_blocks``: per
+benchmark, the M x M square of signs of s_i - s_j, +1 or -1 where the gap
+is significant and 0 for a tie, yielded a block of model rows at a time so
+no array holds the signs of every pair.  The square is antisymmetric, so
+each unordered pair appears twice.  Pairs are concordant when their signs
+agree; score gaps are never multiplied (the product can underflow).  With
+S the B x M^2 signs and N = |S|, the counts of all benchmark pairs are
+halved integer Gram matrices: C - D = S S^T / 2, C + D = N N^T / 2,
+Tx = (1 - N) N^T / 2 and Ty = Tx^T.  Summed, C + D + Tx for benchmarks
+(a, b) is the number of pairs significant on b, half a row count of N, so
+tau-b needs only S S^T and those counts.
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -113,68 +116,53 @@ def _check_pair_lengths(x: np.ndarray, y: np.ndarray) -> int:
     return len(x)
 
 
-#: Elements per step of :func:`_pair_signs` and of the Gram sum in
-#: :func:`_tau_b_matrix`, bounding their temporaries.
+#: Score differences per block of :func:`_sign_blocks`, summed over every
+#: benchmark; it bounds the kernel's temporaries and the Gram matmul sizes.
 _PAIR_CHUNK = 1 << 13
 
 
-def _pair_signs(scores, stderrs, critical_z: float) -> np.ndarray:
-    """Sign of s_i - s_j for every model pair i < j if significant, else 0.
+def _sign_blocks(scores, stderrs, critical_z: float):
+    """Yield ``(a, signs)`` over row blocks of the full M x M significance-sign square.
 
-    Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give int8
-    (B, P) or (P,) in ``np.triu_indices(M, 1)`` order.  Significant means
-    |d| / sqrt(se_i^2 + se_j^2) > critical_z, or d != 0 when that
-    denominator is 0 (so zero stderrs give plain signs for any critical_z).
-    Rows i go a block at a time, so no P-long temporary is built.
-    :func:`_significant_pairs` decodes the same pair order.
+    Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give float
+    ``signs`` of shape (B, k, M) or (k, M) for models a..a+k-1: entry
+    [..., r, j] is the sign of d = s_(a+r) - s_j if the gap is significant,
+    else 0.  Significant means |d| / sqrt(se_i^2 + se_j^2) > critical_z, or
+    d != 0 when that denominator is 0 (so zero stderrs give plain signs for
+    any critical_z).  Float subtraction is exactly antisymmetric and the
+    denominator symmetric, so the square is antisymmetric with a zero
+    diagonal: each unordered pair appears twice, with opposite signs.
     """
     m = scores.shape[-1]
-    signs = np.empty(scores.shape[:-1] + (m * (m - 1) // 2,), dtype=np.int8)
     block = max(1, _PAIR_CHUNK // max(1, scores.size))
-    done = 0
     for a in range(0, m, block):
-        upper = np.arange(m) > np.arange(a, min(a + block, m))[:, None]
-        d = (scores[..., a : a + block, None] - scores[..., None, :])[..., upper]
+        d = scores[..., a : a + block, None] - scores[..., None, :]
         se_i, se_j = stderrs[..., a : a + block, None], stderrs[..., None, :]
-        denom = np.sqrt(se_i * se_i + se_j * se_j)[..., upper]
+        denom = np.sqrt(se_i * se_i + se_j * se_j)
         with np.errstate(divide="ignore", invalid="ignore"):
             significant = np.where(denom == 0.0, d != 0.0, np.abs(d) / denom > critical_z)
-        signs[..., done : done + d.shape[-1]] = np.where(significant, np.sign(d), 0.0)
-        done += d.shape[-1]
-    return signs
+        yield a, np.where(significant, np.sign(d), 0.0)
 
 
-def _significant_pairs(signs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Winner and loser model indices of the nonzero entries of one row of :func:`_pair_signs`.
+def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tau-b values and degenerate mask between the rows of ``scores``.
 
-    Pair k is (i, j) with i the last model whose first pair is <= k, so no
-    P-long index array is built.
+    S S^T is summed over the blocks of :func:`_sign_blocks`, which hold
+    every pair twice, and halved to give C - D.  A sign squared is 1 exactly
+    when its pair is significant, so the halved diagonal is n_sig, the
+    number of significant pairs per row.  C + D + Tx of cell (a, b) is
+    n_sig[b] and C + D + Ty is n_sig[a], so a cell is (C - D) /
+    sqrt(n_sig[a] n_sig[b]); it is degenerate (value 0.0) when either count
+    is 0, and the diagonal is 1.  Every count, partial sum and product is an
+    integer below 2^53, exact in float64, so the one sqrt and one division
+    round exactly as on Python ints.
     """
-    first = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
-    k = np.flatnonzero(signs)
-    i = np.searchsorted(first, k, side="right") - 1
-    j = k - first[i] + i + 1
-    above = signs[k] > 0
-    return np.where(above, i, j), np.where(above, j, i)
-
-
-def _tau_b_matrix(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tau-b values and degenerate mask between the rows of ``signs``.
-
-    C + D + Tx of cell (a, b) is n_sig[b] and C + D + Ty is n_sig[a], so a
-    cell is (C - D) / sqrt(n_sig[a] n_sig[b]); it is degenerate (value 0.0)
-    when either count is 0, and the diagonal is 1.  S S^T is summed over
-    column chunks, so only the int8 signs are held in full.  Every count,
-    partial sum and product is an integer below 2^53, exact in float64, so
-    the one sqrt and one division round exactly as on Python ints.
-    """
-    nb = len(signs)
-    c_minus_d = np.zeros((nb, nb))
-    step = max(1, _PAIR_CHUNK // max(1, nb))
-    for k in range(0, signs.shape[-1], step):
-        chunk = signs[:, k : k + step].astype(float)
-        c_minus_d += chunk @ chunk.T
-    n_sig = np.count_nonzero(signs, axis=-1)
+    nb = len(scores)
+    gram = np.zeros((nb, nb))
+    for _, signs in _sign_blocks(scores, stderrs, critical_z):
+        flat = signs.reshape(nb, -1)
+        gram += flat @ flat.T
+    c_minus_d, n_sig = gram / 2, np.diagonal(gram) / 2
     degenerate = (n_sig[:, None] == 0) | (n_sig == 0)
     np.fill_diagonal(degenerate, False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -186,11 +174,11 @@ def _tau_b_matrix(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kendall_tau(x, y) -> float:
     """Plain Kendall rank correlation of two score vectors.
 
-    Counts concordant and discordant pairs over all unordered index pairs
-    and divides once: (C - D) / (n(n-1)/2).  Exact ties within either
-    vector raise :class:`TieError` (use :func:`kendall_tau_b` for tied or
-    noisy data).  Integer counting keeps the result free of accumulation
-    drift, so values are exactly reproducible.
+    Counts concordant minus discordant pairs over the sign square, which
+    holds each pair twice, and divides once: 2(C - D) / (n(n-1)).  Exact
+    ties within either vector raise :class:`TieError` (use
+    :func:`kendall_tau_b` for tied or noisy data).  Integer counting keeps
+    the result free of accumulation drift, so values are exactly reproducible.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -198,8 +186,8 @@ def kendall_tau(x, y) -> float:
     for name, v in (("x", x), ("y", y)):
         if len(np.unique(v)) != n:
             raise TieError(f"exact tie in {name}; plain tau is undefined under ties")
-    sx, sy = _pair_signs(np.stack([x, y]), np.zeros((2, n)), 1.0).astype(np.int64)
-    return int(sx @ sy) / (n * (n - 1) // 2)
+    blocks = _sign_blocks(np.stack([x, y]), np.zeros((2, n)), 1.0)
+    return sum(int(np.vdot(sx, sy)) for _, (sx, sy) in blocks) / (n * (n - 1))
 
 
 def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: SignificanceConfig) -> bool:
@@ -216,7 +204,8 @@ def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: Si
         raise ValueError("standard errors must be >= 0")
     scores = np.array([s1, s2], dtype=float)
     stderrs = np.array([se1, se2], dtype=float)
-    return bool(_pair_signs(scores, stderrs, cfg.critical_z)[0])
+    _, signs = next(_sign_blocks(scores, stderrs, cfg.critical_z))
+    return bool(signs[0, 1])
 
 
 def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenerate:
@@ -243,8 +232,7 @@ def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenera
         raise ValueError("non-finite standard error")
     if (se_x < 0).any() or (se_y < 0).any():
         raise ValueError("standard errors must be >= 0")
-    signs = _pair_signs(np.stack([x, y]), np.stack([se_x, se_y]), cfg.critical_z)
-    values, degenerate = _tau_b_matrix(signs)
+    values, degenerate = _tau_b_matrix(np.stack([x, y]), np.stack([se_x, se_y]), cfg.critical_z)
     return DEGENERATE if degenerate[0, 1] else float(values[0, 1])
 
 
@@ -269,7 +257,7 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
                 raise TieError(f"benchmark {b!r} has exact score ties; use tau_b")
         # tie-free rows with zero stderrs: tau-b reduces to plain tau bit for bit
         stderrs = np.zeros_like(stderrs)
-    values, degenerate = _tau_b_matrix(_pair_signs(oriented, stderrs, cfg.critical_z))
+    values, degenerate = _tau_b_matrix(oriented, stderrs, cfg.critical_z)
     values.setflags(write=False)
     degenerate.setflags(write=False)
     return AgreementMatrix(benchmark_ids=m.benchmark_ids, values=values, degenerate=degenerate)

@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from benchrank import rankstats
 from benchrank.alignment import (
     AlignedRanking,
     AlignmentError,
@@ -44,10 +47,12 @@ class TestBuildPartialOrder:
         po = build_partial_order([0.9, 0.8, 0.1], [0.04] * 3, CFG)
         assert po.edges == frozenset({(0, 2), (1, 2)})
 
-    def test_edges_respect_scores_and_significance(self):
+    def test_edges_respect_scores_and_significance(self, monkeypatch):
         rng = np.random.default_rng(17)
-        # 250 models span more than one step of the pair-sign kernel
-        for n in [int(rng.integers(1, 8)) for _ in range(50)] + [250]:
+        sizes = [int(rng.integers(1, 8)) for _ in range(50)] + [250]
+        # at the default chunk 250 models span more than one block of the sign kernel; at 1, one model per block
+        for chunk, n in product((rankstats._PAIR_CHUNK, 1), sizes):
+            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
             s = rng.uniform(size=n)
             e = rng.uniform(0, 0.2, size=n)
             po = build_partial_order(s, e, CFG)
@@ -226,6 +231,20 @@ class TestCrossingCount:
 
     def test_adjacent_swap(self):
         assert crossing_count(self.make("ABC", "BAC")) == 1
+
+    def test_matches_brute_force(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sizes = [int(rng.integers(0, 12)) for _ in range(30)] + [300]
+        for chunk, n in product((rankstats._PAIR_CHUNK, 1), sizes):
+            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
+            order1 = [f"m{k}" for k in range(n)]
+            ar = self.make(order1, [order1[k] for k in rng.permutation(n)])
+            expected = sum(
+                (ar.rank1[a] < ar.rank1[b]) != (ar.rank2[a] < ar.rank2[b])
+                for i, a in enumerate(order1)
+                for b in order1[i + 1 :]
+            )
+            assert crossing_count(ar) == expected
 
 
 def random_case(rng, n):

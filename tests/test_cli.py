@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from benchrank import __version__
+from benchrank import __version__, cli
 from benchrank.cli import run_cli
 from benchrank.io import file_sha256, load_artifact, load_scores
 
@@ -435,6 +435,7 @@ class TestManifestContract:
         [
             ["agree", "--scores", "nope.csv", "--alpha", "1.5", "--out", "a.json"],
             ["pca", "--scores", "nope.csv", "--top-k", "0", "--out", "p.json"],
+            ["simulate", "--config", "nope.json", "--mode", "direct", "--seed", "-1", "--out", "s.csv"],
             [
                 "report",
                 "--scores-direct", "nope.csv",
@@ -514,6 +515,20 @@ class TestReport:
 
     def test_bad_align_pair_is_usage_error(self, workspace, tmp_path):
         assert self.run_report(workspace, tmp_path / "rep", extra=["--align-pair", "bench01bench03"]) == 1
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("pair, unknown", [("nope:bench00", "nope"), ("bench00:bench01x", "bench01x")])
+    def test_unknown_align_pair_id_fails_before_any_computation(
+        self, workspace, tmp_path, monkeypatch, capsys, pair, unknown
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("computed before the --align-pair ids were checked")
+
+        monkeypatch.setattr(cli, "agreement_matrix", not_called)
+        monkeypatch.setattr(cli, "fit_pca", not_called)
+        extra = ["--align-pair", "bench01:bench03", "--align-pair", pair]
+        assert self.run_report(workspace, tmp_path / "rep", extra=extra) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: input: unknown benchmark id '{unknown}'"]
         assert not (tmp_path / "rep").exists()
 
     def test_permuted_tbt_input_gives_identical_results(self, workspace, tmp_path):

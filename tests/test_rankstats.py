@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from benchrank.rankstats import (
     significant_difference,
 )
 
-from oracles import taub_oracle
+from oracles import _oracle_significant, taub_oracle
 
 CFG = SignificanceConfig()
 
@@ -119,6 +120,50 @@ class TestSignificantDifference:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             significant_difference(0.5, -0.1, 0.6, 0.1, CFG)
+
+
+# zero, subnormal, tiny, ordinary and near-overflow magnitudes; drawing from a small pool gives exact ties
+kernel_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 1.0, 1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+kernel_stderrs = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-160, 0.01, 1e154, 1e300]),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Oriented scores and stderrs of shape (B, M) or (M,), plus a critical z."""
+    nb, m = draw(st.integers(1, 3)), draw(st.integers(0, 9))
+    scores = np.array(draw(st.lists(kernel_scores, min_size=nb * m, max_size=nb * m))).reshape(nb, m)
+    stderrs = np.array(draw(st.lists(kernel_stderrs, min_size=nb * m, max_size=nb * m))).reshape(nb, m)
+    if nb == 1 and draw(st.booleans()):
+        scores, stderrs = scores[0], stderrs[0]
+    return scores, stderrs, draw(st.sampled_from([CFG.critical_z, 1.0, 1e-3, 40.0]))
+
+
+class TestSignBlocks:
+    @given(kernel_inputs(), st.sampled_from([rankstats._PAIR_CHUNK, 1, 5]))
+    def test_square_is_antisymmetric(self, inputs, chunk):
+        scores, stderrs, z = inputs
+        with mock.patch.object(rankstats, "_PAIR_CHUNK", chunk), np.errstate(over="ignore"):
+            blocks = list(rankstats._sign_blocks(scores, stderrs, z))
+        sizes = [s.shape[-2] for _, s in blocks]
+        assert [a for a, _ in blocks] == np.cumsum([0] + sizes)[:-1].tolist()
+        m = scores.shape[-1]
+        square = np.concatenate([s for _, s in blocks], axis=-2) if blocks else np.zeros(scores.shape + (0,))
+        assert square.shape == scores.shape + (m,)
+        # the tau-b and crossing-count halvings rely on each pair appearing twice, with opposite signs
+        assert np.array_equal(square, -np.swapaxes(square, -1, -2))
+        assert not np.diagonal(square, axis1=-2, axis2=-1).any()
+        rows = np.atleast_2d(scores)
+        squares = square.reshape(rows.shape + (m,))
+        for s, e, signs in zip(rows.tolist(), np.atleast_2d(stderrs).tolist(), squares):
+            for i, j in np.ndindex(m, m):
+                significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
+                assert signs[i, j] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
 
 
 class TestKendallTauB:
