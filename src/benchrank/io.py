@@ -1,10 +1,14 @@
 """File formats: long-format score CSV, canonical JSON, metadata tables.
 
+A score file's suffix selects its format, ``.csv`` or ``.json``; any other
+raises ``<path>: unsupported score file suffix '.txt'; use .csv or .json``.
+
 The long CSV has header ``benchmark,model,score,stderr,n,direction`` and
 one row per (benchmark, model) cell; every pair must appear exactly once.
 ``n`` may be empty; ``direction`` is ``higher`` or ``lower`` and must be
-consistent within a benchmark.  Lines starting with ``#`` are comments
-(run manifests are embedded that way) and are skipped on load.
+consistent within a benchmark.  Each line is one record, fields are
+whitespace-trimmed, and blank lines and lines starting with ``#`` are
+skipped (run manifests are embedded as ``#`` comments).
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -92,10 +96,6 @@ class RunManifest:
         }
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def render_scores_csv(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
     buf = _stdio.StringIO()
     buf.write(f"# format_version: {FORMAT_VERSION}\n")
@@ -105,10 +105,8 @@ def render_scores_csv(m: ScoreMatrix, manifest: RunManifest | None = None) -> st
     writer.writerow(SCORE_CSV_HEADER)
     for i, b in enumerate(m.benchmark_ids):
         n = "" if m.n_items[i] is None else str(m.n_items[i])
-        for j, mod in enumerate(m.model_ids):
-            writer.writerow(
-                [b, mod, _fmt_float(m.scores[i, j]), _fmt_float(m.stderrs[i, j]), n, m.direction[i]]
-            )
+        for mod, score, stderr in zip(m.model_ids, m.scores[i].tolist(), m.stderrs[i].tolist()):
+            writer.writerow([b, mod, repr(score), repr(stderr), n, m.direction[i]])
     return buf.getvalue()
 
 
@@ -117,61 +115,56 @@ def render_scores_json(m: ScoreMatrix, manifest: RunManifest | None = None) -> s
     if manifest is not None:
         payload["manifest"] = manifest.to_dict()
     payload.update(
-        {
-            "benchmark_ids": list(m.benchmark_ids),
-            "model_ids": list(m.model_ids),
-            "direction": list(m.direction),
-            "n_items": list(m.n_items),
-            "scores": [[float(v) for v in row] for row in m.scores],
-            "stderrs": [[float(v) for v in row] for row in m.stderrs],
-        }
+        benchmark_ids=list(m.benchmark_ids),
+        model_ids=list(m.model_ids),
+        direction=list(m.direction),
+        n_items=list(m.n_items),
+        scores=m.scores.tolist(),
+        stderrs=m.stderrs.tolist(),
     )
     return json.dumps(payload, indent=2) + "\n"
 
 
 def infer_format(path: str | Path) -> str:
+    """The score format a path's suffix selects; an unsupported suffix raises :class:`LoadError`."""
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return "long-csv"
     if suffix == ".json":
         return "canonical-json"
-    raise LoadError(f"cannot infer score format from suffix {suffix!r}; pass the format explicitly")
+    raise LoadError(f"{path}: unsupported score file suffix {suffix!r}; use .csv or .json")
 
 
-def save_scores(path: str | Path, m: ScoreMatrix, fmt: str | None = None, manifest: RunManifest | None = None) -> None:
-    fmt = fmt or infer_format(path)
-    if fmt == "long-csv":
-        text = render_scores_csv(m, manifest)
-    elif fmt == "canonical-json":
-        text = render_scores_json(m, manifest)
-    else:
-        raise LoadError(f"unknown score format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
+def save_scores(path: str | Path, m: ScoreMatrix, manifest: RunManifest | None = None) -> None:
+    render = render_scores_csv if infer_format(path) == "long-csv" else render_scores_json
+    Path(path).write_text(render(m, manifest), encoding="utf-8")
 
 
-def _parse_csv_lines(path: str | Path, expected_header: list[str]):
-    """Yield (line_number, fields) for data rows after checking the header."""
-    text = _read(path)
+def _csv_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """``(line number, stripped fields)`` for each data row, after the header and field-count checks.
+
+    Each physical line is one record (a quote left open closes at the end
+    of its line); blank lines and lines starting with ``#`` are skipped.
+    """
     rows = []
     header_seen = False
-    for ln, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
+    for ln, line in enumerate(_read(path).splitlines(), start=1):
+        if line.startswith("#") or line.strip() == "":
             continue
-        if line.strip() == "":
-            continue
-        parsed = next(csv.reader([line]))
+        try:
+            fields = [f.strip() for f in next(csv.reader([line]))]
+        except csv.Error as e:
+            raise LoadError(f"{path}:{ln}: {e}") from None
         if not header_seen:
-            if [h.strip() for h in parsed] != expected_header:
-                raise LoadError(
-                    f"{path}:{ln}: missing or malformed header; expected {','.join(expected_header)!r}"
-                )
+            if fields != header:
+                raise LoadError(f"{path}:{ln}: missing or malformed header; expected {','.join(header)!r}")
             header_seen = True
-            continue
-        if len(parsed) != len(expected_header):
-            raise LoadError(f"{path}:{ln}: expected {len(expected_header)} fields, got {len(parsed)}")
-        rows.append((ln, parsed))
+        elif len(fields) != len(header):
+            raise LoadError(f"{path}:{ln}: expected {len(header)} fields, got {len(fields)}")
+        else:
+            rows.append((ln, fields))
     if not header_seen:
-        raise LoadError(f"{path}: missing header; expected {','.join(expected_header)!r}")
+        raise LoadError(f"{path}: missing header; expected {','.join(header)!r}")
     return rows
 
 
@@ -182,26 +175,19 @@ def _parse_float(raw: str, path, ln: int, what: str) -> float:
         raise LoadError(f"{path}:{ln}: cannot parse {what} {raw!r}") from None
 
 
-def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
-    """Read a score matrix from long CSV or canonical JSON.
+def load_scores(path: str | Path) -> ScoreMatrix:
+    """Read a score matrix from long CSV or canonical JSON, chosen by the path's suffix.
 
     Every (benchmark, model) pair must appear exactly once and the matrix
     must be complete; sparse input is rejected rather than imputed.
     """
-    fmt = fmt or infer_format(path)
-    if fmt == "canonical-json":
+    if infer_format(path) == "canonical-json":
         return _load_scores_json(path)
-    if fmt != "long-csv":
-        raise LoadError(f"unknown score format {fmt!r}")
-    benchmarks: list[str] = []
+    benchmarks: dict[str, tuple[str, int | None]] = {}  # first-seen id -> (direction, n)
     models: dict[str, None] = {}  # insertion-ordered set
     cells: dict[tuple[str, str], tuple[float, float]] = {}
-    direction: dict[str, str] = {}
-    n_items: dict[str, int | None] = {}
-    for ln, fields in _parse_csv_lines(path, SCORE_CSV_HEADER):
-        b, mod, raw_score, raw_se, raw_n, raw_dir = (f.strip() for f in fields)
-        score = _parse_float(raw_score, path, ln, "score")
-        stderr = _parse_float(raw_se, path, ln, "stderr")
+    for ln, (b, mod, raw_score, raw_se, raw_n, raw_dir) in _csv_rows(path, SCORE_CSV_HEADER):
+        cell = (_parse_float(raw_score, path, ln, "score"), _parse_float(raw_se, path, ln, "stderr"))
         if raw_n == "":
             n = None
         else:
@@ -213,50 +199,41 @@ def load_scores(path: str | Path, fmt: str | None = None) -> ScoreMatrix:
                 raise LoadError(f"{path}:{ln}: n must be >= 1, got {n}")
         if raw_dir not in DIRECTIONS:
             raise LoadError(f"{path}:{ln}: direction must be one of {DIRECTIONS}, got {raw_dir!r}")
-        if (b, mod) in cells:
+        if cells.setdefault((b, mod), cell) is not cell:
             raise LoadError(f"{path}:{ln}: duplicate row for benchmark {b!r}, model {mod!r}")
-        if b not in direction:
-            benchmarks.append(b)
-            direction[b] = raw_dir
-            n_items[b] = n
-        else:
-            if direction[b] != raw_dir:
-                raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting directions")
-            if n_items[b] != n:
-                raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting n values")
+        first_dir, first_n = benchmarks.setdefault(b, (raw_dir, n))
+        if first_dir != raw_dir:
+            raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting directions")
+        if first_n != n:
+            raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting n values")
         models.setdefault(mod)
-        cells[(b, mod)] = (score, stderr)
     if not cells:
         raise LoadError(f"{path}: no data rows")
-    missing = [(b, mod) for b in benchmarks for mod in models if (b, mod) not in cells]
-    if missing:
+    if len(cells) < len(benchmarks) * len(models):  # cells are unique, so this means some are missing
+        missing = [(b, mod) for b in benchmarks for mod in models if (b, mod) not in cells]
         b, mod = missing[0]
         raise LoadError(
             f"{path}: incomplete matrix; missing cell for benchmark {b!r}, model {mod!r}"
             + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
         )
-    scores = np.array([[cells[(b, mod)][0] for mod in models] for b in benchmarks])
-    stderrs = np.array([[cells[(b, mod)][1] for mod in models] for b in benchmarks])
-    return make_score_matrix(
-        benchmarks,
-        models,
-        scores,
-        stderrs,
-        n_items=[n_items[b] for b in benchmarks],
-        direction=[direction[b] for b in benchmarks],
-    )
+    pairs = np.array([[cells[b, mod] for mod in models] for b in benchmarks])
+    directions, n_items = zip(*benchmarks.values())
+    return make_score_matrix(benchmarks, models, pairs[..., 0], pairs[..., 1], n_items=n_items, direction=directions)
 
 
 def load_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level is an object; any failure raises :class:`LoadError`."""
-    text = _read(path)
     try:
-        payload = json.loads(text)
+        payload = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise LoadError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise LoadError(f"{path}: expected a JSON object")
     return payload
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _load_scores_json(path: str | Path) -> ScoreMatrix:
@@ -266,6 +243,13 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
             raise LoadError(f"{path}: missing key {key!r}")
     if not isinstance(payload["n_items"], list):
         raise LoadError(f"{path}: n_items must be a list of integers >= 1 or null")
+    for key in ("benchmark_ids", "model_ids"):
+        if not isinstance(payload[key], list) or not all(isinstance(v, str) for v in payload[key]):
+            raise LoadError(f"{path}: {key} must be a list of strings")
+    for key in ("scores", "stderrs"):
+        rows = payload[key]
+        if not isinstance(rows, list) or not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
+            raise LoadError(f"{path}: {key} must be a list of rows of numbers")
     try:
         return make_score_matrix(
             payload["benchmark_ids"],
@@ -275,9 +259,7 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
             n_items=payload["n_items"],
             direction=payload["direction"],
         )
-    except (TypeError, ValueError) as e:
-        if isinstance(e, LoadError):
-            raise
+    except (TypeError, ValueError, OverflowError) as e:
         raise LoadError(f"{path}: {e}") from e
 
 
@@ -289,8 +271,7 @@ def load_model_metadata(path: str | Path) -> list[ModelRecord]:
     """
     records = []
     seen = set()
-    for ln, fields in _parse_csv_lines(path, MODEL_CSV_HEADER):
-        model, family, raw_params, raw_tokens, raw_it = (f.strip() for f in fields)
+    for ln, (model, family, raw_params, raw_tokens, raw_it) in _csv_rows(path, MODEL_CSV_HEADER):
         if model in seen:
             raise LoadError(f"{path}:{ln}: duplicate model {model!r}")
         seen.add(model)
@@ -319,8 +300,7 @@ def load_benchmark_categories(path: str | Path) -> list[BenchmarkRecord]:
     """Read benchmark category CSV: ``benchmark,category``."""
     records = []
     seen = set()
-    for ln, fields in _parse_csv_lines(path, CATEGORY_CSV_HEADER):
-        benchmark, category = (f.strip() for f in fields)
+    for ln, (benchmark, category) in _csv_rows(path, CATEGORY_CSV_HEADER):
         if benchmark in seen:
             raise LoadError(f"{path}:{ln}: duplicate benchmark {benchmark!r}")
         seen.add(benchmark)

@@ -136,10 +136,11 @@ def _sign_blocks(scores, stderrs, critical_z: float):
     m = scores.shape[-1]
     block = max(1, _PAIR_CHUNK // max(1, scores.size))
     for a in range(0, m, block):
-        d = scores[..., a : a + block, None] - scores[..., None, :]
         se_i, se_j = stderrs[..., a : a + block, None], stderrs[..., None, :]
-        denom = np.sqrt(se_i * se_i + se_j * se_j)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a gap that overflows to inf is significant; a denominator that does is not
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = scores[..., a : a + block, None] - scores[..., None, :]
+            denom = np.sqrt(se_i * se_i + se_j * se_j)
             significant = np.where(denom == 0.0, d != 0.0, np.abs(d) / denom > critical_z)
         yield a, np.where(significant, np.sign(d), 0.0)
 

@@ -121,6 +121,7 @@ class SyntheticConfig:
             raise ValueError(f"prep_sd must be >= 0, got {self.prep_sd}")
         if not (0.0 <= self.residual_prep <= 1.0):
             raise ValueError(f"residual_prep must be in [0, 1], got {self.residual_prep}")
+        self.biases()  # raises on a wrong length
         if np.any(self.loadings() <= 0):
             raise ValueError("benchmark_loading entries must be > 0")
         if np.any(self.uplifts() < 0):

@@ -137,6 +137,38 @@ class TestInputErrors:
         assert "error: input:" in capsys.readouterr().err
         assert not (workspace / "x.json").exists()
 
+    def test_pca_non_number_json_score(self, workspace, capsys):
+        scores = workspace / "direct.json"
+        assert run_cli(["simulate", "--config", str(workspace / "sim.json"), "--mode", "direct", "--out", str(scores)]) == 0
+        payload = json.loads(scores.read_text())
+        payload["scores"][0][1] = "0.5"
+        scores.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(["pca", "--scores", str(scores), "--out", str(workspace / "x.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: input: {scores}: scores must be a list of rows of numbers"]
+        assert not (workspace / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pca", "--scores", "x.txt", "--out", "o.json"],
+            ["simulate", "--config", "sim.json", "--mode", "direct", "--out", "x.txt"],
+        ],
+        ids=["pca", "simulate"],
+    )
+    def test_unsupported_score_suffix_names_the_path(self, workspace, monkeypatch, capsys, argv):
+        monkeypatch.chdir(workspace)
+        if argv[0] == "pca":
+            (workspace / "x.txt").write_text((workspace / "direct.csv").read_text())
+        before = set(workspace.iterdir())
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: input: x.txt: unsupported score file suffix '.txt'; use .csv or .json"
+        ]
+        assert set(workspace.iterdir()) == before
+
     @pytest.mark.filterwarnings("error")
     def test_pca_overflowing_scores(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
@@ -196,6 +228,15 @@ class TestInputErrors:
         assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: input:")
+        assert not out.exists()
+
+    def test_simulate_bias_length_names_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_models": 4, "n_benchmarks": 2, "benchmark_bias": [0.1, 0.2, 0.3]}))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: {cfg}: benchmark_bias must be")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -276,6 +317,29 @@ class TestDegenerateExits:
 
 
 class TestSubcommandArtifacts:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("subcommand", ["agree", "align"])
+    @pytest.mark.parametrize(
+        "b0",
+        [["1,1e200", "2,0.1", "3,0.1"], ["1.5e308,0.1", "-1.5e308,0.1", "0,0.1"]],
+        ids=["stderr", "gap"],
+    )
+    def test_overflow_in_the_pair_test_is_silent(self, tmp_path, capsys, subcommand, b0):
+        p = tmp_path / "s.csv"
+        p.write_text(
+            "benchmark,model,score,stderr,n,direction\n"
+            + "".join(f"b0,{mod},{cell},,higher\n" for mod, cell in zip("ABC", b0))
+            + "b1,A,1,0.1,,higher\nb1,B,2,0.1,,higher\nb1,C,3,0.1,,higher\n"
+        )
+        out = tmp_path / "a.json"
+        argv = {
+            "agree": ["agree", "--scores", str(p), "--method", "tau-b"],
+            "align": ["align", "--scores-a", str(p), "--scores-b", str(p), "--benchmark-a", "b0", "--benchmark-b", "b1"],
+        }[subcommand]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_artifact(out)["manifest"]["subcommand"] == subcommand
+
     def test_agree(self, workspace):
         out = workspace / "agree.json"
         assert run_cli(["agree", "--scores", str(workspace / "direct.csv"), "--method", "tau-b", "--out", str(out)]) == 0

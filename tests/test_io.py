@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from benchrank.core import ScoreMatrixError, make_score_matrix
+from benchrank.core import DIRECTIONS, ScoreMatrixError, make_score_matrix
 from benchrank.io import (
+    SCORE_CSV_HEADER,
     LoadError,
     RunManifest,
     file_sha256,
@@ -15,6 +18,7 @@ from benchrank.io import (
     load_model_metadata,
     load_scores,
     render_artifact,
+    render_scores_csv,
     render_scores_json,
     save_scores,
     validate_artifact,
@@ -38,6 +42,14 @@ def sample_matrix():
         n_items=[1000, None],
         direction=["higher", "lower"],
     )
+
+
+def score_json(tmp_path, **changes):
+    """A canonical JSON score file holding :func:`sample_matrix`, with the given keys replaced."""
+    p = tmp_path / "s.json"
+    save_scores(p, sample_matrix())
+    p.write_text(json.dumps({**json.loads(p.read_text()), **changes}))
+    return p
 
 
 class TestLoadScoresCsv:
@@ -156,6 +168,90 @@ class TestLoadScoresCsv:
         assert infer_format("x.json") == "canonical-json"
         with pytest.raises(LoadError):
             infer_format("x.parquet")
+
+    def test_unsupported_suffix_names_path_and_suffix(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text(SCORES_CSV)
+        message = f"^{re.escape(str(p))}: unsupported score file suffix '.txt'; use .csv or .json$"
+        with pytest.raises(LoadError, match=message):
+            load_scores(p)
+        with pytest.raises(LoadError, match=message):
+            save_scores(p, sample_matrix())
+        assert p.read_text() == SCORES_CSV
+
+    def test_open_quote_closes_at_the_end_of_its_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(SCORES_CSV.replace("mnli,B,", 'mnli,"B,'))
+        with pytest.raises(LoadError, match=r"s\.csv:3: expected 6 fields, got 2$"):
+            load_scores(p)
+
+    def test_oversized_field_cites_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text(SCORES_CSV + "mnli," + "C" * 200_000 + ",0.5,0.01,1000,higher\n")
+        with pytest.raises(LoadError, match=r"s\.csv:6: field larger than field limit"):
+            load_scores(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(",".join(SCORE_CSV_HEADER)),
+                st.lists(
+                    st.sampled_from(
+                        ["b0", "b1", "A", "B", " A ", "0.5", "-0", "nan", "inf", "1e400", "x", "", "1000", "0",
+                         "1.5", "higher", "lower", "up", '"', '"a,b"', "#"]
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ).map(",".join),
+                st.text(),
+            ),
+            max_size=12,
+        ).map("\n".join)
+    )
+    def test_any_text_loads_or_raises_a_load_error(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "any.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            m = load_scores(p)
+        except (LoadError, ScoreMatrixError):
+            return
+        assert m.scores.shape == m.stderrs.shape == (len(m.benchmark_ids), len(m.model_ids))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shuffled_rendered_csv_loads_back_in_first_seen_order(self, tmp_path_factory, data):
+        nb, nm = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        ids = st.text(alphabet='ab ,"-_.0', min_size=1, max_size=4).filter(lambda s: s.strip())
+        unique = dict(unique_by=lambda s: s.strip())
+        finite = dict(allow_nan=False, allow_infinity=False)
+        m = make_score_matrix(
+            data.draw(st.lists(ids, min_size=nb, max_size=nb, **unique)),
+            data.draw(st.lists(ids, min_size=nm, max_size=nm, **unique)),
+            np.reshape(data.draw(st.lists(st.floats(**finite), min_size=nb * nm, max_size=nb * nm)), (nb, nm)),
+            np.reshape(
+                data.draw(st.lists(st.floats(min_value=0, **finite), min_size=nb * nm, max_size=nb * nm)), (nb, nm)
+            ),
+            n_items=data.draw(st.lists(st.none() | st.integers(1, 10**6), min_size=nb, max_size=nb)),
+            direction=data.draw(st.lists(st.sampled_from(DIRECTIONS), min_size=nb, max_size=nb)),
+        )
+        lines = render_scores_csv(m).splitlines()
+        header_at = lines.index(",".join(SCORE_CSV_HEADER)) + 1
+        order = data.draw(st.permutations(range(nb * nm)))  # row k holds cell (k // nm, k % nm)
+        lines = lines[:header_at] + [lines[header_at + k] for k in order]
+        for extra in data.draw(st.lists(st.sampled_from(["", "   ", "# note", "#,,,,,"]), max_size=6)):
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        p = tmp_path_factory.getbasetemp() / "shuffled.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_scores(p)
+        rows = list(dict.fromkeys(k // nm for k in order))
+        cols = list(dict.fromkeys(k % nm for k in order))
+        assert loaded.benchmark_ids == tuple(m.benchmark_ids[i] for i in rows)
+        assert loaded.model_ids == tuple(m.model_ids[j] for j in cols)
+        assert loaded.n_items == tuple(m.n_items[i] for i in rows)
+        assert loaded.direction == tuple(m.direction[i] for i in rows)
+        for got, want in ((loaded.scores, m.scores), (loaded.stderrs, m.stderrs)):
+            assert got.tobytes() == want[np.ix_(rows, cols)].tobytes()
 
 
 class TestModelMetadata:
@@ -301,12 +397,37 @@ class TestLoadScoresJson:
         with pytest.raises(LoadError, match="invalid JSON"):
             load_scores(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("scores", [["0.5", 0.72], [1.13, 0.97]]),
+            ("scores", [[0.61, True], [1.13, 0.97]]),
+            ("scores", [[0.61, 0.72], [None, 0.97]]),
+            ("scores", [0.61, 0.72]),
+            ("stderrs", [[0.01, 0.01], [0.02, "1e3"]]),
+            ("stderrs", [[0.01, 0.01], [0.02, [0.02]]]),
+            ("benchmark_ids", ["mnli", 7]),
+            ("model_ids", [None, "B"]),
+            ("model_ids", "AB"),
+        ],
+        ids=repr,
+    )
+    def test_non_string_id_or_non_number_entry(self, tmp_path, key, value):
+        p = score_json(tmp_path, **{key: value})
+        with pytest.raises(LoadError, match=f"^{re.escape(str(p))}: {key} must be a list of"):
+            load_scores(p)
+
+    def test_integer_entries_accepted(self, tmp_path):
+        m = load_scores(score_json(tmp_path, scores=[[1, 0], [2, 3]]))
+        assert m.scores.tolist() == [[1.0, 0.0], [2.0, 3.0]]
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        p = score_json(tmp_path, scores=[[10**400, 0], [2, 3]])
+        with pytest.raises(LoadError, match=f"^{re.escape(str(p))}: int too large"):
+            load_scores(p)
+
     @pytest.mark.parametrize("n_items", [5, [2.7, True], [1000, "3"], [0, None], [2.0, None]])
     def test_bad_n_items(self, tmp_path, n_items):
-        p = tmp_path / "s.json"
-        save_scores(p, sample_matrix())
-        payload = json.loads(p.read_text())
-        payload["n_items"] = n_items
-        p.write_text(json.dumps(payload))
+        p = score_json(tmp_path, n_items=n_items)
         with pytest.raises(LoadError, match="n_items"):
             load_scores(p)

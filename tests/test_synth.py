@@ -78,6 +78,7 @@ class TestConfigValidation:
             {"benchmark_loading": True},
             {"benchmark_bias": [0.0, None, 0.0, 0.0]},
             {"benchmark_bias": -np.inf},
+            {"benchmark_bias": [0.1, 0.2, 0.3]},
             {"finetune_uplift": "x"},
             {"finetune_uplift": [0.0, 0.0, 10**400, 0.0]},
         ],
