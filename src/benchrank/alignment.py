@@ -54,7 +54,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .rankstats import SignificanceConfig, _sign_blocks
+from .rankstats import SignificanceConfig, _checked, _sign_blocks, _sign_gram
 
 
 class AlignmentError(ValueError):
@@ -138,16 +138,9 @@ def build_partial_order(
     distinct model pair, a directed edge winner -> loser is added iff the
     difference passes the two-sided z-test.
     """
-    scores = np.asarray(scores, dtype=float)
-    stderrs = np.asarray(stderrs, dtype=float)
-    if scores.shape != stderrs.shape or scores.ndim != 1:
-        raise AlignmentError("scores and stderrs must be equal-length vectors")
+    scores, stderrs = _checked(scores, stderrs, AlignmentError)
     if len(scores) < 1:
         raise AlignmentError("need at least one model")
-    if not (np.isfinite(scores).all() and np.isfinite(stderrs).all()):
-        raise AlignmentError("non-finite input")
-    if (stderrs < 0).any():
-        raise AlignmentError("standard errors must be >= 0")
     ids = _default_ids(len(scores), model_ids)
     wins = [(a, np.nonzero(signs > 0)) for a, signs in _sign_blocks(scores, stderrs, cfg.critical_z)]
     winners = np.concatenate([rows + a for a, (rows, _) in wins])
@@ -269,9 +262,10 @@ def rank_models(
 def crossing_count(a: AlignedRanking) -> int:
     """Number of model pairs ranked in opposite relative order by the two tasks.
 
-    Ranks are distinct, so every pair has sign +1 or -1 in each ranking;
-    the crossings are the pairs whose signs differ, seen twice in the square.
+    Ranks are distinct, so every one of the P pairs is concordant or
+    crossed: C + D = P, and :func:`~benchrank.rankstats._sign_gram` gives
+    C - D, so the crossings are D = (P - (C - D)) / 2.
     """
     ranks = np.array([[a.rank1[m] for m in a.order1], [a.rank2[m] for m in a.order1]], dtype=float)
-    blocks = _sign_blocks(ranks, np.zeros_like(ranks), 1.0)
-    return sum(int(np.count_nonzero(s1 != s2)) for _, (s1, s2) in blocks) // 2
+    n = ranks.shape[1]
+    return int(n * (n - 1) // 2 - _sign_gram(ranks, np.zeros_like(ranks), 1.0)[0, 1]) // 2

@@ -30,11 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import AlignmentError, crossing_count, rank_models
+from .alignment import crossing_count, rank_models
 from .core import (
     DegenerateError,
     ScoreMatrix,
-    ScoreMatrixError,
     make_score_matrix,
     oriented_scores,
 )
@@ -471,7 +470,7 @@ def run_cli(argv=None) -> int:
     except (TieError, DegenerateError) as e:
         print(f"error: degenerate: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (LoadError, ScoreMatrixError, AlignmentError, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
         msg = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: input: {msg}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,7 +8,9 @@ one row per (benchmark, model) cell; every pair must appear exactly once.
 ``n`` may be empty; ``direction`` is ``higher`` or ``lower`` and must be
 consistent within a benchmark.  Each line is one record, fields are
 whitespace-trimmed, and blank lines and lines starting with ``#`` are
-skipped (run manifests are embedded as ``#`` comments).
+skipped (run manifests are embedded as ``#`` comments).  So the writer
+raises ``ValueError`` for a benchmark id that starts with ``#`` and for any
+id holding a character ``str.splitlines`` breaks on; use ``.json`` for those.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -97,6 +99,12 @@ class RunManifest:
 
 
 def render_scores_csv(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
+    for b in m.benchmark_ids:
+        if b.startswith("#"):
+            raise ValueError(f"benchmark id {b!r} starts with '#', which a long CSV reads as a comment; use .json")
+    for i in m.benchmark_ids + m.model_ids:
+        if "".join(i.splitlines()) != i:
+            raise ValueError(f"id {i!r} holds a line break, which a long CSV cannot read back; use .json")
     buf = _stdio.StringIO()
     buf.write(f"# format_version: {FORMAT_VERSION}\n")
     if manifest is not None:
@@ -122,7 +130,7 @@ def render_scores_json(m: ScoreMatrix, manifest: RunManifest | None = None) -> s
         scores=m.scores.tolist(),
         stderrs=m.stderrs.tolist(),
     )
-    return json.dumps(payload, indent=2) + "\n"
+    return render_artifact(payload)
 
 
 def infer_format(path: str | Path) -> str:

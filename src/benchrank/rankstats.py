@@ -13,12 +13,12 @@ benchmark, the M x M square of signs of s_i - s_j, +1 or -1 where the gap
 is significant and 0 for a tie, yielded a block of model rows at a time so
 no array holds the signs of every pair.  The square is antisymmetric, so
 each unordered pair appears twice.  Pairs are concordant when their signs
-agree; score gaps are never multiplied (the product can underflow).  With
-S the B x M^2 signs and N = |S|, the counts of all benchmark pairs are
-halved integer Gram matrices: C - D = S S^T / 2, C + D = N N^T / 2,
-Tx = (1 - N) N^T / 2 and Ty = Tx^T.  Summed, C + D + Tx for benchmarks
-(a, b) is the number of pairs significant on b, half a row count of N, so
-tau-b needs only S S^T and those counts.
+agree; score gaps are never multiplied (the product can underflow).  The
+square has two readers: ``build_partial_order`` takes its edges, and
+``_sign_gram`` makes every count.  With S the B x M^2 signs, S S^T / 2
+holds C - D for every benchmark pair (a, b), and its diagonal the number
+of pairs significant on each benchmark; taken on b, that is C + D + Tx.
+Tau, tau-b, crossing counts and the z-test read nothing else.
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -104,16 +104,33 @@ class MeanAgreement:
     n_excluded: np.ndarray
 
 
-def _check_pair_lengths(x: np.ndarray, y: np.ndarray) -> int:
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("score vectors must be one-dimensional")
+def _checked(scores, stderrs, error=ValueError) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` and ``stderrs`` as float arrays, checked to be equal-length finite vectors with stderrs >= 0."""
+    scores, stderrs = np.asarray(scores, dtype=float), np.asarray(stderrs, dtype=float)
+    if scores.shape != stderrs.shape or scores.ndim != 1:
+        raise error("scores and stderrs must be equal-length vectors")
+    if not (np.isfinite(scores).all() and np.isfinite(stderrs).all()):
+        raise error("non-finite input")
+    if (stderrs < 0).any():
+        raise error("standard errors must be >= 0")
+    return scores, stderrs
+
+
+def _checked_pair(x, se_x, y, se_y) -> tuple[np.ndarray, np.ndarray]:
+    """Two checked vectors of one length n >= 2, stacked into (2, n) scores and stderrs."""
+    (x, se_x), (y, se_y) = _checked(x, se_x), _checked(y, se_y)
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError(f"need at least 2 entries, got {len(x)}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite score encountered")
-    return len(x)
+    return np.stack([x, y]), np.stack([se_x, se_y])
+
+
+def _refuse_ties(rows, names, message: str) -> None:
+    """Raise :class:`TieError` with ``message`` formatted with the name of the first row holding an exact tie."""
+    for name, row in zip(names, rows):
+        if len(np.unique(row)) != len(row):
+            raise TieError(message.format(name))
 
 
 #: Score differences per block of :func:`_sign_blocks`, summed over every
@@ -145,25 +162,34 @@ def _sign_blocks(scores, stderrs, critical_z: float):
         yield a, np.where(significant, np.sign(d), 0.0)
 
 
-def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tau-b values and degenerate mask between the rows of ``scores``.
+def _sign_gram(scores, stderrs, critical_z: float) -> np.ndarray:
+    """Halved S S^T between the rows of (B, M) ``scores``: C - D off the diagonal, n_sig on it.
 
     S S^T is summed over the blocks of :func:`_sign_blocks`, which hold
-    every pair twice, and halved to give C - D.  A sign squared is 1 exactly
-    when its pair is significant, so the halved diagonal is n_sig, the
-    number of significant pairs per row.  C + D + Tx of cell (a, b) is
-    n_sig[b] and C + D + Ty is n_sig[a], so a cell is (C - D) /
-    sqrt(n_sig[a] n_sig[b]); it is degenerate (value 0.0) when either count
-    is 0, and the diagonal is 1.  Every count, partial sum and product is an
-    integer below 2^53, exact in float64, so the one sqrt and one division
-    round exactly as on Python ints.
+    every pair twice with opposite signs, so each entry is even and its half
+    is C - D.  A sign squared is 1 exactly when its pair is significant, so
+    the halved diagonal is n_sig, the number of significant pairs per row.
+    Every entry and partial sum is an integer below 2^53, exact in float64,
+    so the result is independent of the block size and of summation order.
     """
     nb = len(scores)
     gram = np.zeros((nb, nb))
     for _, signs in _sign_blocks(scores, stderrs, critical_z):
         flat = signs.reshape(nb, -1)
         gram += flat @ flat.T
-    c_minus_d, n_sig = gram / 2, np.diagonal(gram) / 2
+    return gram / 2
+
+
+def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tau-b values and degenerate mask between the rows of ``scores``.
+
+    A cell is (C - D) / sqrt(n_sig[a] n_sig[b]), read off :func:`_sign_gram`;
+    it is degenerate (value 0.0) when either count is 0, and the diagonal
+    is 1.  The product of two counts is an integer below 2^53 too, so the
+    one sqrt and one division round exactly as on Python ints.
+    """
+    c_minus_d = _sign_gram(scores, stderrs, critical_z)
+    n_sig = np.diagonal(c_minus_d)
     degenerate = (n_sig[:, None] == 0) | (n_sig == 0)
     np.fill_diagonal(degenerate, False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,20 +201,16 @@ def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.nd
 def kendall_tau(x, y) -> float:
     """Plain Kendall rank correlation of two score vectors.
 
-    Counts concordant minus discordant pairs over the sign square, which
-    holds each pair twice, and divides once: 2(C - D) / (n(n-1)).  Exact
-    ties within either vector raise :class:`TieError` (use
-    :func:`kendall_tau_b` for tied or noisy data).  Integer counting keeps
-    the result free of accumulation drift, so values are exactly reproducible.
+    (C - D) / (n(n-1)/2), read off :func:`_sign_gram` with zero stderrs.
+    Both operands are exact integers, so the one division is correctly
+    rounded and values are exactly reproducible.  Exact ties within either
+    vector raise :class:`TieError` (use :func:`kendall_tau_b` for tied or
+    noisy data).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = _check_pair_lengths(x, y)
-    for name, v in (("x", x), ("y", y)):
-        if len(np.unique(v)) != n:
-            raise TieError(f"exact tie in {name}; plain tau is undefined under ties")
-    blocks = _sign_blocks(np.stack([x, y]), np.zeros((2, n)), 1.0)
-    return sum(int(np.vdot(sx, sy)) for _, (sx, sy) in blocks) / (n * (n - 1))
+    scores, stderrs = _checked_pair(x, np.zeros(np.shape(x)), y, np.zeros(np.shape(y)))
+    _refuse_ties(scores, "xy", "exact tie in {}; plain tau is undefined under ties")
+    n = scores.shape[1]
+    return float(_sign_gram(scores, stderrs, 1.0)[0, 1] / (n * (n - 1) // 2))
 
 
 def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: SignificanceConfig) -> bool:
@@ -198,15 +220,8 @@ def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: Si
     standard errors are zero the test degenerates to exact inequality.
     Symmetric in its two (score, stderr) arguments.
     """
-    for v in (s1, se1, s2, se2):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite input {v!r}")
-    if se1 < 0 or se2 < 0:
-        raise ValueError("standard errors must be >= 0")
-    scores = np.array([s1, s2], dtype=float)
-    stderrs = np.array([se1, se2], dtype=float)
-    _, signs = next(_sign_blocks(scores, stderrs, cfg.critical_z))
-    return bool(signs[0, 1])
+    scores, stderrs = _checked([s1, s2], [se1, se2])
+    return bool(_sign_gram(scores[None], stderrs[None], cfg.critical_z)[0, 0])
 
 
 def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenerate:
@@ -222,18 +237,7 @@ def kendall_tau_b(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenera
     made pairwise and are deliberately non-transitive; no tie clustering
     is performed.
     """
-    x = np.asarray(x, dtype=float)
-    se_x = np.asarray(se_x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    se_y = np.asarray(se_y, dtype=float)
-    n = _check_pair_lengths(x, y)
-    if len(se_x) != n or len(se_y) != n:
-        raise ValueError("stderr vectors must match score vectors in length")
-    if not (np.isfinite(se_x).all() and np.isfinite(se_y).all()):
-        raise ValueError("non-finite standard error")
-    if (se_x < 0).any() or (se_y < 0).any():
-        raise ValueError("standard errors must be >= 0")
-    values, degenerate = _tau_b_matrix(np.stack([x, y]), np.stack([se_x, se_y]), cfg.critical_z)
+    values, degenerate = _tau_b_matrix(*_checked_pair(x, se_x, y, se_y), cfg.critical_z)
     return DEGENERATE if degenerate[0, 1] else float(values[0, 1])
 
 
@@ -253,9 +257,7 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
     oriented = np.stack([oriented_scores(m, b) for b in m.benchmark_ids])
     stderrs = m.stderrs
     if method == "tau":
-        for b, row in zip(m.benchmark_ids, oriented):
-            if len(np.unique(row)) != len(row):
-                raise TieError(f"benchmark {b!r} has exact score ties; use tau_b")
+        _refuse_ties(oriented, m.benchmark_ids, "benchmark {!r} has exact score ties; use tau_b")
         # tie-free rows with zero stderrs: tau-b reduces to plain tau bit for bit
         stderrs = np.zeros_like(stderrs)
     values, degenerate = _tau_b_matrix(oriented, stderrs, cfg.critical_z)

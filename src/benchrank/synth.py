@@ -41,10 +41,10 @@ from .rankstats import _defined_mean, agreement_matrix
 MODES = ("direct", "train_before_test")
 
 
-def _per_benchmark(value, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+def _per_benchmark(value, n: int, name: str, dtype=float) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
     if arr.ndim == 0:
-        arr = np.full(n, float(arr))
+        arr = np.full(n, arr)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be a scalar or a length-{n} sequence, got shape {arr.shape}")
     return arr
@@ -139,12 +139,7 @@ class SyntheticConfig:
         return _per_benchmark(self.finetune_uplift, self.n_benchmarks, "finetune_uplift")
 
     def items(self) -> np.ndarray:
-        arr = np.asarray(self.n_items, dtype=np.int64)
-        if arr.ndim == 0:
-            arr = np.full(self.n_benchmarks, int(arr), dtype=np.int64)
-        if arr.shape != (self.n_benchmarks,):
-            raise ValueError(f"n_items must be a scalar or length-{self.n_benchmarks}, got shape {arr.shape}")
-        return arr
+        return _per_benchmark(self.n_items, self.n_benchmarks, "n_items", dtype=np.int64)
 
     def model_flops(self) -> np.ndarray:
         """Pre-training compute per model, geometric across flops_range."""

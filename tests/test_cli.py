@@ -291,6 +291,33 @@ class TestInputErrors:
         assert code == 2
         assert not (tmp_path / "rep").exists()
 
+    def test_report_benchmark_set_mismatch(self, workspace, monkeypatch, capsys):
+        monkeypatch.chdir(workspace)
+        tbt = workspace / "tbt.csv"
+        tbt.write_text(tbt.read_text().replace("bench04", "bench99"))
+        assert run_cli(REPORT_ARGV) == 2
+        err = capsys.readouterr().err
+        assert err == "error: input: direct and train-before-test matrices cover different benchmarks\n"
+        assert not (workspace / "rep").exists()
+
+    def test_align_model_set_mismatch(self, workspace, capsys):
+        other = workspace / "other.csv"
+        other.write_text((workspace / "tbt.csv").read_text().replace("model00", "intruder"))
+        out = workspace / "x.json"
+        code = run_cli(
+            [
+                "align",
+                "--scores-a", str(workspace / "direct.csv"),
+                "--scores-b", str(other),
+                "--benchmark-a", "bench00",
+                "--benchmark-b", "bench01",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: input: the two score matrices cover different model sets\n"
+        assert not out.exists()
+
 
 class TestDegenerateExits:
     def test_agree_tau_with_exact_ties(self, tmp_path, capsys):
@@ -314,6 +341,17 @@ class TestDegenerateExits:
             "b1,A,0.1,9.0,,higher\nb1,B,0.2,9.0,,higher\n"
         )
         assert run_cli(["agree", "--scores", str(p), "--method", "tau-b", "--out", str(tmp_path / "a.json")]) == 3
+
+    def test_report_with_equal_compute_for_every_model(self, workspace, monkeypatch, capsys):
+        # constant log-compute leaves the pc1-vs-compute tau with no untied pair
+        monkeypatch.chdir(workspace)
+        models = workspace / "models.csv"
+        header, *rows = models.read_text().splitlines()
+        models.write_text("\n".join([header] + [f"{r.split(',')[0]},synth,1.0,10.0,false" for r in rows]) + "\n")
+        assert run_cli(REPORT_ARGV) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: degenerate: pc1 vs compute correlation is degenerate")
+        assert not (workspace / "rep").exists()
 
 
 class TestSubcommandArtifacts:

@@ -1,4 +1,4 @@
-"""Smoke test: the library demos run to completion against the package in src/."""
+"""Smoke test: the library demos run to completion against the package in src/, with warnings as errors."""
 
 import os
 import subprocess
@@ -25,7 +25,12 @@ def test_all_four_python_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -40,8 +45,10 @@ def test_cli_demo_runs(tmp_path):
     env = _env()
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
     env["TMPDIR"] = str(tmp_path)  # so the demo's mktemp -d directory is cleaned up with tmp_path
+    env["PYTHONWARNINGS"] = "error"  # reaches every ``benchrank`` the script starts
     proc = subprocess.run(
         ["bash", str(CLI_DEMO)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert "report" in proc.stdout and "agree_direct.json" in proc.stdout

@@ -125,6 +125,33 @@ class TestLoadScoresCsv:
         with pytest.raises(LoadError, match=r":2: cannot parse n"):
             load_scores(p)
 
+    def test_zero_n_cites_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("benchmark,model,score,stderr,n,direction\nmnli,A,0.5,0.01,0,higher\n")
+        with pytest.raises(LoadError, match=r"s\.csv:2: n must be >= 1"):
+            load_scores(p)
+
+    @pytest.mark.parametrize(
+        "benchmarks, models, bad",
+        [
+            (["#x", "y"], ["A", "B"], "'#x'"),  # would read back as a comment line
+            (["x", "y"], ["A\nB", "C"], r"'A\\nB'"),
+            (["x", "y"], ["A", "B\x85C"], r"'B\\x85C'"),  # str.splitlines breaks on NEL and LS too
+            (["x", "y\u2028z"], ["A", "B"], r"'y\\u2028z'"),
+        ],
+        ids=["hash-benchmark", "newline-model", "nel-model", "line-separator-benchmark"],
+    )
+    def test_ids_that_would_not_read_back_are_refused(self, tmp_path, benchmarks, models, bad):
+        m = make_score_matrix(benchmarks, models, [[0.1, 0.2], [0.3, 0.4]], np.zeros((2, 2)))
+        p = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=f"{bad}.*use \\.json"):
+            save_scores(p, m)
+        assert not p.exists()
+        save_scores(tmp_path / "s.json", m)
+        back = load_scores(tmp_path / "s.json")
+        assert (back.benchmark_ids, back.model_ids) == (m.benchmark_ids, m.model_ids)
+        assert np.array_equal(back.scores, m.scores)
+
     def test_conflicting_direction(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text(
@@ -293,6 +320,13 @@ class TestModelMetadata:
             load_model_metadata(p)
 
 
+    def test_header_only(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("model,family,params_b,tokens_b,instruction_tuned\n")
+        with pytest.raises(LoadError, match="no model rows"):
+            load_model_metadata(p)
+
+
 class TestBenchmarkCategories:
     def test_load(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -314,6 +348,13 @@ class TestBenchmarkCategories:
         p = tmp_path / "c.csv"
         p.write_text("benchmark,category\nmnli,LU\nmnli,QA\n")
         with pytest.raises(LoadError, match="duplicate"):
+            load_benchmark_categories(p)
+
+
+    def test_header_only(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("benchmark,category\n")
+        with pytest.raises(LoadError, match="no category rows"):
             load_benchmark_categories(p)
 
 

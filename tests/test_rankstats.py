@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from benchrank import rankstats
+from benchrank.alignment import AlignmentError, build_partial_order
 from benchrank.core import DEGENERATE, AgreementMatrix, BenchmarkRecord, DegenerateError, make_score_matrix
 from benchrank.rankstats import (
     SignificanceConfig,
@@ -21,7 +22,7 @@ from benchrank.rankstats import (
     significant_difference,
 )
 
-from oracles import _oracle_significant, taub_oracle
+from oracles import _oracle_significant, tau_oracle, taub_oracle
 
 CFG = SignificanceConfig()
 
@@ -164,6 +165,65 @@ class TestSignBlocks:
             for i, j in np.ndindex(m, m):
                 significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
                 assert signs[i, j] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
+
+
+@pytest.fixture(params=[rankstats._PAIR_CHUNK, 1], ids=["default-chunk", "chunk-1"])
+def pair_chunk(request, monkeypatch):
+    """Run at the default block size, which holds these vectors in one block, and at one model per block."""
+    monkeypatch.setattr(rankstats, "_PAIR_CHUNK", request.param)
+
+
+class TestCountsMatchOracles:
+    def test_kendall_tau(self, pair_chunk):
+        rng = np.random.default_rng(29)
+        for n in [2, 3, 5, 8, 12] * 20:
+            x, y = rng.uniform(size=n), rng.normal(size=n)
+            assert kendall_tau(x, y) == tau_oracle(x, y)
+
+    def test_kendall_tau_b(self, pair_chunk):
+        rng = np.random.default_rng(37)
+        for n in [2, 3, 5, 8, 12] * 20:
+            x, y = np.round(rng.uniform(size=(2, n)), 1)
+            se_x, se_y = rng.uniform(0, 0.1, size=(2, n)) * (rng.random(2)[:, None] < 0.75)
+            expected = taub_oracle(x, se_x, y, se_y, CFG)
+            assert kendall_tau_b(x, se_x, y, se_y, CFG) == expected
+
+    def test_significant_difference(self, pair_chunk):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            s1, s2 = rng.choice([0.5, 0.52, 0.6, 1e300, -1e300], size=2).tolist()
+            se1, se2 = rng.choice([0.0, 0.005, 0.02, 1e154], size=2).tolist()
+            expected = _oracle_significant(s1, se1, s2, se2, CFG.critical_z)
+            assert significant_difference(s1, se1, s2, se2, CFG) == expected
+
+
+NAN, INF = float("nan"), float("inf")
+S3, E3 = [1.0, 2.0, 3.0], [0.1] * 3
+# caller, arguments, exception class and message, per caller of the shared score/stderr check
+CHECKED_REJECTIONS = {
+    "significant_difference-nan-score": (significant_difference, (NAN, 0.1, 0.5, 0.1, CFG), ValueError, "non-finite"),
+    "significant_difference-inf-stderr": (significant_difference, (0.4, 0.1, 0.5, INF, CFG), ValueError, "non-finite"),
+    "significant_difference-negative-stderr": (significant_difference, (0.4, -0.1, 0.5, 0.1, CFG), ValueError, ">= 0"),
+    "kendall_tau-nan-score": (kendall_tau, ([1.0, NAN, 3.0], S3), ValueError, "non-finite"),
+    "kendall_tau-unequal-lengths": (kendall_tau, (S3, [1.0, 2.0]), ValueError, "length mismatch"),
+    "kendall_tau_b-nan-score": (kendall_tau_b, (S3, E3, [1.0, NAN, 3.0], E3, CFG), ValueError, "non-finite"),
+    "kendall_tau_b-inf-stderr": (kendall_tau_b, (S3, [0.1, INF, 0.1], S3, E3, CFG), ValueError, "non-finite"),
+    "kendall_tau_b-negative-stderr": (kendall_tau_b, (S3, E3, S3, [-0.1] * 3, CFG), ValueError, ">= 0"),
+    "kendall_tau_b-unequal-stderr-length": (kendall_tau_b, (S3, E3[:2], S3, E3, CFG), ValueError, "stderr"),
+    "kendall_tau_b-unequal-lengths": (kendall_tau_b, (S3, E3, S3[:2], E3[:2], CFG), ValueError, "length mismatch"),
+    "build_partial_order-nan-score": (build_partial_order, ([1.0, NAN, 3.0], E3, CFG), AlignmentError, "non-finite"),
+    "build_partial_order-inf-stderr": (build_partial_order, (S3, [0.1, INF, 0.1], CFG), AlignmentError, "non-finite"),
+    "build_partial_order-negative-stderr": (build_partial_order, (S3, [0.1, -0.1, 0.1], CFG), AlignmentError, ">= 0"),
+    "build_partial_order-unequal-lengths": (build_partial_order, (S3, E3[:2], CFG), AlignmentError, "stderr"),
+}
+
+
+@pytest.mark.parametrize("case", CHECKED_REJECTIONS)
+def test_checked_rejections(case, pair_chunk):
+    call, args, error, match = CHECKED_REJECTIONS[case]
+    with pytest.raises(error, match=match) as excinfo:
+        call(*args)
+    assert excinfo.type is error
 
 
 class TestKendallTauB:
