@@ -8,14 +8,14 @@ compute accounting), ``simulate`` (synthetic score matrices), ``report``
 matrices).
 
 Every artifact embeds one run manifest, built from the parsed arguments
-before the subcommand runs: each file argument with its sha256, and every
-other option with its resolved value.  Exit codes: 0 success, 1 usage error
-(reported before any input is read), 2 input validation failure or an
-unwritable artifact path, 3 numerical degeneracy.  One machine-parsable
-reason line is printed to stderr on failure.  No artifact file is written
-when a run fails before writing; when writing itself fails, the files
-written before the failure (and directories created for them) remain,
-since writes are not atomic.
+before the subcommand runs: each file argument, read once, with the sha256
+of the bytes the subcommand parses, and every other option with its
+resolved value.  Exit codes: 0 success, 1 usage error (reported before any
+input is read), 2 input validation failure or an unwritable artifact path,
+3 numerical degeneracy.  One machine-parsable reason line is printed to
+stderr on failure.  No artifact file is written when a run fails before
+writing; when writing itself fails, the files written before the failure
+(and directories created for them) remain, since writes are not atomic.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .io import (
     FORMAT_VERSION,
     LoadError,
     RunManifest,
+    _Input,
     infer_format,
     load_benchmark_categories,
     load_json_object,
@@ -465,6 +466,8 @@ def run_cli(argv=None) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler")}
     inputs = {k: options.pop(k) for k in _INPUT_ARGS if k in options}
     try:
+        inputs = {k: _Input(inputs[k]) for k in sorted(inputs)}  # read in the manifest's order
+        vars(args).update(inputs)
         manifest = RunManifest.build(args.subcommand, inputs, options, __version__)
         writes = args.handler(args, manifest)
     except (TieError, DegenerateError) as e:

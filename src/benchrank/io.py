@@ -11,6 +11,9 @@ whitespace-trimmed, and blank lines and lines starting with ``#`` are
 skipped (run manifests are embedded as ``#`` comments).  So the writer
 raises ``ValueError`` for a benchmark id that starts with ``#`` and for any
 id holding a character ``str.splitlines`` breaks on; use ``.json`` for those.
+A file whose kept lines hold no ``"`` and pass every check is parsed column
+by column; any other is read row by row, by the one reader that names the
+line of an error.  The CLI reads each input file once.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -24,6 +27,7 @@ import hashlib
 import io as _stdio
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +57,20 @@ class LoadError(ValueError):
     """Malformed input file; the message carries the line number when known."""
 
 
+class _Input(str):
+    """An input path holding its bytes, read once, until one text read takes them; it formats as the path."""
+
+    def __new__(cls, path: str):
+        self = super().__new__(cls, path)
+        self.data = _read(path, binary=True)
+        return self
+
+
 def _read(path: str | Path, binary: bool = False) -> str | bytes:
-    """The file's bytes, or its UTF-8 text; a missing or undecodable file raises :class:`LoadError`."""
+    """A file's (or :class:`_Input`'s) bytes, or its text as ``open`` reads it; a bad file raises :class:`LoadError`."""
     try:
-        return Path(path).read_bytes() if binary else Path(path).read_text(encoding="utf-8")
+        data = (path.data if binary else vars(path).pop("data")) if type(path) is _Input else Path(path).read_bytes()
+        return data if binary else data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except FileNotFoundError:
         raise LoadError(f"{path}: file not found") from None
     except UnicodeDecodeError as e:
@@ -105,17 +119,19 @@ def render_scores_csv(m: ScoreMatrix, manifest: RunManifest | None = None) -> st
     for i in m.benchmark_ids + m.model_ids:
         if "".join(i.splitlines()) != i:
             raise ValueError(f"id {i!r} holds a line break, which a long CSV cannot read back; use .json")
+    # quote each id once as csv.writer does (the row [id, ""] is the line "<id>,"); no other field needs quoting
     buf = _stdio.StringIO()
-    buf.write(f"# format_version: {FORMAT_VERSION}\n")
+    csv.writer(buf, lineterminator="\n").writerows([i, ""] for i in m.benchmark_ids + m.model_ids)
+    quoted = [line[:-1] for line in buf.getvalue().splitlines()]
+    benchmarks, models = quoted[: m.n_benchmarks], quoted[m.n_benchmarks :]
+    lines = [f"# format_version: {FORMAT_VERSION}\n"]
     if manifest is not None:
-        buf.write("# manifest: " + json.dumps(manifest.to_dict(), separators=(",", ":")) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_CSV_HEADER)
-    for i, b in enumerate(m.benchmark_ids):
-        n = "" if m.n_items[i] is None else str(m.n_items[i])
-        for mod, score, stderr in zip(m.model_ids, m.scores[i].tolist(), m.stderrs[i].tolist()):
-            writer.writerow([b, mod, repr(score), repr(stderr), n, m.direction[i]])
-    return buf.getvalue()
+        lines.append("# manifest: " + json.dumps(manifest.to_dict(), separators=(",", ":")) + "\n")
+    lines.append(",".join(SCORE_CSV_HEADER) + "\n")
+    for b, n, d, scores, stderrs in zip(benchmarks, m.n_items, m.direction, m.scores.tolist(), m.stderrs.tolist()):
+        head, tail = f"{b},", f",{'' if n is None else str(n)},{d}\n"
+        lines.append("".join([f"{head}{mod},{s!r},{e!r}{tail}" for mod, s, e in zip(models, scores, stderrs)]))
+    return "".join(lines)
 
 
 def render_scores_json(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
@@ -148,7 +164,7 @@ def save_scores(path: str | Path, m: ScoreMatrix, manifest: RunManifest | None =
     Path(path).write_text(render(m, manifest), encoding="utf-8")
 
 
-def _csv_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+def _csv_rows(path: str | Path, header: list[str], text: str) -> list[tuple[int, list[str]]]:
     """``(line number, stripped fields)`` for each data row, after the header and field-count checks.
 
     Each physical line is one record (a quote left open closes at the end
@@ -156,7 +172,7 @@ def _csv_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]
     """
     rows = []
     header_seen = False
-    for ln, line in enumerate(_read(path).splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#") or line.strip() == "":
             continue
         try:
@@ -191,10 +207,53 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     """
     if infer_format(path) == "canonical-json":
         return _load_scores_json(path)
+    text = _read(path)
+    return make_score_matrix(*(_score_columns(text) or _score_rows(path, text)))
+
+
+def _score_columns(text: str) -> tuple | None:
+    """What :func:`_score_rows` returns, parsed column by column; ``None`` unless every row is clean.
+
+    Clean rows hold no quote (so commas split them as ``csv.reader`` does) and pass every check there.
+    """
+    lines = [line for line in text.splitlines() if line.strip() and line[0] != "#"]  # the lines _csv_rows keeps
+    width = len(SCORE_CSV_HEADER)
+    if len(lines) < 2 or '"' in "".join(lines) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    if [f.strip() for f in lines[0].split(",")] != SCORE_CSV_HEADER or max(map(len, lines)) > csv.field_size_limit():
+        return None  # a bad header, or a line (and so maybe a field) longer than csv.reader allows
+    fields = ",".join(lines[1:]).split(",")
+    del lines
+    b_col, m_col, s_col, e_col, n_col, d_col = (list(map(str.strip, fields[k::width])) for k in range(width))
+    rows = len(b_col)
+    try:
+        n_of = {raw: int(raw) if raw else None for raw in dict.fromkeys(n_col)}
+        values = [list(map(float, s_col)), list(map(float, e_col))]
+    except ValueError:
+        return None
+    # one (id, direction, n) per benchmark iff every row agrees with its benchmark's first
+    heads = dict.fromkeys(zip(b_col, d_col, map(n_of.__getitem__, n_col)))
+    b_at = {b: i for i, b in enumerate(dict.fromkeys(b_col))}
+    m_at = {mod: j for j, mod in enumerate(dict.fromkeys(m_col))}
+    valid = all(d in DIRECTIONS and (n is None or n >= 1) for _, d, n in heads)
+    if not valid or len(b_at) != len(heads) or len(b_at) * len(m_at) != rows:
+        return None
+    cell = np.fromiter(map(b_at.__getitem__, b_col), np.intp, rows) * len(m_at)
+    cell += np.fromiter(map(m_at.__getitem__, m_col), np.intp, rows)
+    if (np.bincount(cell, minlength=rows) != 1).any():  # a duplicate, and so a missing cell
+        return None
+    matrices = np.empty((2, rows))
+    matrices[:, cell] = values
+    _, directions, n_items = zip(*heads)
+    return b_at, m_at, *matrices.reshape(2, len(b_at), len(m_at)), n_items, directions
+
+
+def _score_rows(path: str | Path, text: str) -> tuple:
+    """A long CSV's ids, scores, stderrs, ``n`` and directions; a bad row raises a :class:`LoadError` naming it."""
     benchmarks: dict[str, tuple[str, int | None]] = {}  # first-seen id -> (direction, n)
     models: dict[str, None] = {}  # insertion-ordered set
     cells: dict[tuple[str, str], tuple[float, float]] = {}
-    for ln, (b, mod, raw_score, raw_se, raw_n, raw_dir) in _csv_rows(path, SCORE_CSV_HEADER):
+    for ln, (b, mod, raw_score, raw_se, raw_n, raw_dir) in _csv_rows(path, SCORE_CSV_HEADER, text):
         cell = (_parse_float(raw_score, path, ln, "score"), _parse_float(raw_se, path, ln, "stderr"))
         if raw_n == "":
             n = None
@@ -226,22 +285,19 @@ def load_scores(path: str | Path) -> ScoreMatrix:
         )
     pairs = np.array([[cells[b, mod] for mod in models] for b in benchmarks])
     directions, n_items = zip(*benchmarks.values())
-    return make_score_matrix(benchmarks, models, pairs[..., 0], pairs[..., 1], n_items=n_items, direction=directions)
+    return benchmarks, models, pairs[..., 0], pairs[..., 1], n_items, directions
 
 
 def load_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level is an object; any failure raises :class:`LoadError`."""
+    text = _read(path)
     try:
-        payload = json.loads(_read(path))
-    except json.JSONDecodeError as e:
+        payload = json.loads(text)
+    except ValueError as e:  # a syntax error, or an integer literal over the int-to-str digit limit
         raise LoadError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise LoadError(f"{path}: expected a JSON object")
     return payload
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _load_scores_json(path: str | Path) -> ScoreMatrix:
@@ -254,9 +310,9 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
     for key in ("benchmark_ids", "model_ids"):
         if not isinstance(payload[key], list) or not all(isinstance(v, str) for v in payload[key]):
             raise LoadError(f"{path}: {key} must be a list of strings")
-    for key in ("scores", "stderrs"):
+    for key in ("scores", "stderrs"):  # json.loads makes exact built-in types, so an exact type test refuses bool
         rows = payload[key]
-        if not isinstance(rows, list) or not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
+        if not isinstance(rows, list) or not all(isinstance(r, list) and {*map(type, r)} <= {int, float} for r in rows):
             raise LoadError(f"{path}: {key} must be a list of rows of numbers")
     try:
         return make_score_matrix(
@@ -279,7 +335,7 @@ def load_model_metadata(path: str | Path) -> list[ModelRecord]:
     """
     records = []
     seen = set()
-    for ln, (model, family, raw_params, raw_tokens, raw_it) in _csv_rows(path, MODEL_CSV_HEADER):
+    for ln, (model, family, raw_params, raw_tokens, raw_it) in _csv_rows(path, MODEL_CSV_HEADER, _read(path)):
         if model in seen:
             raise LoadError(f"{path}:{ln}: duplicate model {model!r}")
         seen.add(model)
@@ -308,7 +364,7 @@ def load_benchmark_categories(path: str | Path) -> list[BenchmarkRecord]:
     """Read benchmark category CSV: ``benchmark,category``."""
     records = []
     seen = set()
-    for ln, (benchmark, category) in _csv_rows(path, CATEGORY_CSV_HEADER):
+    for ln, (benchmark, category) in _csv_rows(path, CATEGORY_CSV_HEADER, _read(path)):
         if benchmark in seen:
             raise LoadError(f"{path}:{ln}: duplicate benchmark {benchmark!r}")
         seen.add(benchmark)

@@ -10,13 +10,17 @@ none of this is meant to be fast.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import Hashable
 
 import numpy as np
 
 from benchrank.alignment import PartialOrder
-from benchrank.core import DEGENERATE, Degenerate
+from benchrank.core import DEGENERATE, Degenerate, ScoreMatrix
+from benchrank.io import FORMAT_VERSION, SCORE_CSV_HEADER, RunManifest
 from benchrank.rankstats import SignificanceConfig
 from benchrank.synth import SyntheticConfig
 
@@ -271,3 +275,18 @@ def generate_oracle(cfg: SyntheticConfig, mode: str) -> tuple[np.ndarray, np.nda
             scores[i, j] = score
             stderrs[i, j] = math.sqrt(score * (1.0 - score) / items[i])
     return scores, stderrs
+
+
+def render_scores_csv_oracle(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
+    """A long score CSV written one ``csv.writer`` row per cell, without the writer's id checks."""
+    buf = io.StringIO()
+    buf.write(f"# format_version: {FORMAT_VERSION}\n")
+    if manifest is not None:
+        buf.write("# manifest: " + json.dumps(manifest.to_dict(), separators=(",", ":")) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SCORE_CSV_HEADER)
+    for i, b in enumerate(m.benchmark_ids):
+        n = "" if m.n_items[i] is None else str(m.n_items[i])
+        for j, mod in enumerate(m.model_ids):
+            writer.writerow([b, mod, repr(float(m.scores[i, j])), repr(float(m.stderrs[i, j])), n, m.direction[i]])
+    return buf.getvalue()

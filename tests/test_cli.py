@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +275,21 @@ class TestInputErrors:
         assert len(err) == 1 and err[0].startswith(f"error: input: {bad}: ")
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("subcommand", ["pca", "simulate"])
+    def test_oversized_json_integer_names_the_file(self, tmp_path, capsys, subcommand):
+        big = tmp_path / "big.json"
+        digits = "1" + "0" * 5000  # over the interpreter's int-to-str digit limit
+        if subcommand == "pca":
+            big.write_text('{"scores": [[' + digits + "]]}")
+            argv = ["pca", "--scores", str(big), "--out", str(tmp_path / "o.json")]
+        else:
+            big.write_text('{"n_models": ' + digits + "}")
+            argv = ["simulate", "--config", str(big), "--mode", "direct", "--out", str(tmp_path / "o.csv")]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: {big}: invalid JSON: ")
+        assert list(tmp_path.iterdir()) == [big]
+
     def test_report_model_set_mismatch(self, workspace, tmp_path):
         other = tmp_path / "other.csv"
         text = (workspace / "direct.csv").read_text().replace("model00", "intruder")
@@ -531,6 +547,20 @@ class TestManifestContract:
         }
         for name in artifacts:
             assert _manifest_of(workspace / name) == expected
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_each_input_file_is_read_once(self, workspace, monkeypatch, case):
+        argv, _, inputs, _ = MANIFEST_CASES[case]
+        monkeypatch.chdir(workspace)
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            def counted(path, *args, _read=getattr(Path, name), **kwargs):
+                reads.append(str(path))
+                return _read(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, counted)
+        assert run_cli(argv) == 0
+        assert sorted(reads) == sorted(inputs.values())
 
     @pytest.mark.parametrize(
         "argv",

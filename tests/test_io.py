@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchrank.core import DIRECTIONS, ScoreMatrixError, make_score_matrix
+from benchrank import io
+from benchrank.core import DIRECTIONS, ScoreMatrix, ScoreMatrixError, make_score_matrix
 from benchrank.io import (
     SCORE_CSV_HEADER,
     LoadError,
@@ -24,6 +26,7 @@ from benchrank.io import (
     validate_artifact,
 )
 from benchrank.lowrank import compute_flops
+from oracles import render_scores_csv_oracle
 
 SCORES_CSV = """benchmark,model,score,stderr,n,direction
 mnli,A,0.61,0.01,1000,higher
@@ -279,6 +282,160 @@ class TestLoadScoresCsv:
         assert loaded.direction == tuple(m.direction[i] for i in rows)
         for got, want in ((loaded.scores, m.scores), (loaded.stderrs, m.stderrs)):
             assert got.tobytes() == want[np.ix_(rows, cols)].tobytes()
+
+
+def _outcome(load) -> tuple:
+    """A loaded matrix's ids, ``n``, directions and value bytes, or the type and message of what it raised."""
+    try:
+        m = load()
+    except Exception as e:
+        return type(e), str(e)
+    return m.benchmark_ids, m.model_ids, m.n_items, m.direction, m.scores.tobytes(), m.stderrs.tobytes()
+
+
+def _per_row(path):
+    """``load_scores`` of a long CSV through the per-row loop alone."""
+    return make_score_matrix(*io._score_rows(path, io._read(path)))
+
+
+#: field values a mutation writes: padded, bad, underscored, non-finite and zero-padded numbers, odd directions
+MUTANT_FIELDS = [
+    "", " b1 ", " A", "abc", "1_0", "nan", "1e400", "-0", "0.5 ", "0", "x", "010", "10", "1.5",
+    "higher", "lower", "HIGHER", "up", '"', '"B', '"a,b"', "\x00", "a\x00b", "\x1c1", "#x",
+]
+
+
+BLANK_OR_COMMENT = ["", "  ", "# note", '# "q,"', "#,,,,,"]
+TRICKY_CSVS = {  # each a data-row body under SCORES_CSV's header; the per-row loop rejects or reads each one
+    "duplicate-in-place-of-a-cell": ("mnli,A,0.61,0.01,,higher\nmnli,B,0.72,0.01,,higher\n"
+                                     "rte,A,0.5,0.01,,higher\nmnli,A,0.61,0.01,,higher\n"),
+    "row-wrapped-at-a-comma": "mnli,A,0.61,0.01,,higher,mnli\nB,0.72,0.01,,higher\n",
+    "ids-equal-once-stripped": "mnli, A,0.61,0.01,,higher\nmnli,A ,0.72,0.01,,higher\n",
+    "zero-padded-n-agrees": "mnli,A,0.61,0.01,010,higher\nmnli,B,0.72,0.01,10,higher\n",
+    "conflicting-n": "mnli,A,0.61,0.01,10,higher\nmnli,B,0.72,0.01,11,higher\n",
+    "conflicting-direction": "mnli,A,0.61,0.01,,higher\nmnli,B,0.72,0.01,,lower\n",
+    "underscored-and-padded-numbers": "mnli,A,1_0, 0.01 ,\t7,higher\nmnli,B,-0,0.01,7 ,lower \n",
+}
+
+
+class TestColumnarLoader:
+    """The bulk column parser against the per-row loop it stands in for."""
+
+    @pytest.mark.parametrize("body", TRICKY_CSVS.values(), ids=TRICKY_CSVS)
+    def test_tricky_files_load_as_the_per_row_loop_reads_them(self, tmp_path, body):
+        p = tmp_path / "s.csv"
+        p.write_text(SCORES_CSV.splitlines()[0] + "\n" + body)
+        assert _outcome(lambda: load_scores(p)) == _outcome(lambda: _per_row(p))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_bulk_and_per_row_loaders_agree_on_mutated_files(self, tmp_path_factory, data):
+        nb, nm = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        m = make_score_matrix(
+            [f"b{i}" for i in range(nb)],
+            ["A", "B", "C"][:nm],
+            np.reshape(data.draw(st.lists(st.floats(0, 1), min_size=nb * nm, max_size=nb * nm)), (nb, nm)),
+            np.full((nb, nm), 0.01),
+            n_items=data.draw(st.lists(st.none() | st.integers(1, 20), min_size=nb, max_size=nb)),
+            direction=data.draw(st.lists(st.sampled_from(DIRECTIONS), min_size=nb, max_size=nb)),
+        )
+        manifest = RunManifest("simulate", "0.1.0", {"config": {"path": "c.json", "sha256": "0"}}, {"seed": 1})
+        lines = render_scores_csv(m, data.draw(st.sampled_from([None, manifest]))).splitlines()
+        ops = ["dup", "del", "swap", "copy", "wrap", "insert", "field", "extra", "drop", "quote", "pad", "cr"]
+        for op in data.draw(st.lists(st.sampled_from(ops), max_size=4)):
+            if op == "insert" or not lines:
+                lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(BLANK_OR_COMMENT)))
+                continue
+            i, j = data.draw(st.sampled_from(range(len(lines)))), data.draw(st.sampled_from(range(len(lines))))
+            fields = lines[i].split(",")
+            k = data.draw(st.integers(0, len(fields) - 1))
+            if op == "dup":
+                lines.insert(j, lines[i])
+            elif op == "del":
+                del lines[i]
+            elif op == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif op == "copy":  # a duplicate in place of a row, so the row count still fits the matrix
+                lines[i] = lines[j]
+            elif op == "wrap" and i + 1 < len(lines):  # the next line's first field moves up: 7 fields, then 5
+                head, _, rest = lines[i + 1].partition(",")
+                lines[i], lines[i + 1] = f"{lines[i]},{head}", rest
+            elif op == "field":
+                fields[k] = data.draw(st.sampled_from(MUTANT_FIELDS))
+            elif op == "extra":
+                fields.insert(k, "z")
+            elif op == "drop":
+                del fields[k]
+            elif op == "quote":
+                fields[k] = '"' + fields[k]
+            elif op == "pad":
+                fields[k] = f" {fields[k]}\t"
+            elif op == "cr":
+                fields[-1] += "\r"
+            if op in ("field", "extra", "drop", "quote", "pad", "cr"):
+                lines[i] = ",".join(fields)
+        p = tmp_path_factory.getbasetemp() / "mutated.csv"
+        p.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        assert _outcome(lambda: load_scores(p)) == _outcome(lambda: _per_row(p))
+
+    @pytest.mark.parametrize("with_manifest", [False, True], ids=["plain", "simulate-manifest"])
+    def test_clean_files_take_the_bulk_path(self, tmp_path, monkeypatch, with_manifest):
+        p = tmp_path / "s.csv"
+        if with_manifest:  # the quoted JSON of a '# manifest:' comment does not send the file row by row
+            (tmp_path / "c.json").write_text("{}")
+            manifest = RunManifest.build("simulate", {"config": tmp_path / "c.json"}, {"seed": 3}, "0.1.0")
+            save_scores(p, sample_matrix(), manifest=manifest)
+        else:
+            p.write_text(SCORES_CSV)
+        want = _outcome(lambda: _per_row(p))
+
+        def per_row_loop(*args):
+            raise AssertionError("a clean file fell back to the per-row loop")
+
+        monkeypatch.setattr(io, "_score_rows", per_row_loop)
+        assert _outcome(lambda: load_scores(p)) == want
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "over-limit"])
+    def test_field_at_and_over_the_csv_field_size_limit(self, tmp_path, over):
+        model = "C" * (csv.field_size_limit() + over)
+        p = tmp_path / "s.csv"
+        p.write_text(SCORES_CSV.replace(",B,", f",{model},"))
+        got = _outcome(lambda: load_scores(p))
+        assert got == _outcome(lambda: _per_row(p))
+        if over:
+            assert got == (LoadError, f"{p}:3: field larger than field limit ({csv.field_size_limit()})")
+        else:
+            assert got[1] == ("A", model)
+
+    def test_crlf_json_error_gives_the_position_in_the_text_open_reads(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_bytes(b'{"scores":\r\n [1,\r\n x]}')
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(p.read_text(encoding="utf-8"))
+        with pytest.raises(LoadError) as got:
+            load_scores(p)
+        assert str(got.value) == f"{p}: invalid JSON: {want.value}"
+
+
+class TestRenderScoresCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_emitter_is_byte_identical_to_csv_writer(self, data):
+        nb, nm = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # what str.splitlines breaks on; the writer refuses these
+        free = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters=breaks), max_size=5)
+        ids = free | st.sampled_from(["", "a,b", 'say "hi"', '"', ",", " pad ", "naïve", "日本語", '""', "x y"])
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+        m = ScoreMatrix(
+            benchmark_ids=tuple(data.draw(st.lists(ids.filter(lambda s: s[:1] != "#"), min_size=nb, max_size=nb))),
+            model_ids=tuple(data.draw(st.lists(ids, min_size=nm, max_size=nm))),
+            scores=np.reshape(data.draw(st.lists(floats, min_size=nb * nm, max_size=nb * nm)), (nb, nm)),
+            stderrs=np.reshape(data.draw(st.lists(floats, min_size=nb * nm, max_size=nb * nm)), (nb, nm)),
+            n_items=tuple(data.draw(st.lists(st.none() | st.integers(1, 10**12), min_size=nb, max_size=nb))),
+            direction=tuple(data.draw(st.lists(st.sampled_from(DIRECTIONS), min_size=nb, max_size=nb))),
+        )
+        manifest = data.draw(st.sampled_from([None, RunManifest("simulate", "0.1.0", {}, {"seed": 1, "out": 'a,"b"'})]))
+        assert render_scores_csv(m, manifest) == render_scores_csv_oracle(m, manifest)
 
 
 class TestModelMetadata:
