@@ -145,15 +145,17 @@ def compute_flops(params_billions: float, tokens_billions: float) -> float:
     taken in decimal arithmetic on the shortest decimal representation of
     the inputs, so published tables built from decimal parameter/token
     counts are reproduced exactly (plain float multiplication can be one
-    ulp off).
+    ulp off).  A product outside float64's range raises ``ValueError``.
     """
     if not (params_billions > 0 and tokens_billions > 0):
-        raise ValueError(
-            f"params and tokens must be > 0, got ({params_billions}, {tokens_billions})"
-        )
+        raise ValueError(f"params and tokens must be > 0, got ({params_billions}, {tokens_billions})")
     p = Decimal(repr(float(params_billions)))
     t = Decimal(repr(float(tokens_billions)))
-    return float(6 * p * t * Decimal(10) ** 18)
+    flops = float(6 * p * t * Decimal(10) ** 18)
+    if not 0.0 < flops < math.inf:
+        side = "underflows" if flops == 0.0 else "overflows"
+        raise ValueError(f"6 * params * tokens {side} float64 at ({params_billions}, {tokens_billions})")
+    return flops
 
 
 def pc1_compute_correlation(r: PcaResult, records: list[ComputeRecord]) -> float | Degenerate:

@@ -1,24 +1,25 @@
 """Rank-correlation statistics over benchmark score matrices.
 
-Two correlation flavours are provided.  ``kendall_tau`` is the plain
-statistic (C - D) / (n(n-1)/2) and refuses exact ties; ``kendall_tau_b``
-treats a model pair as tied when the score difference fails a two-sided
-z-test given the standard errors, and applies the usual tie adjustment
-(C - D) / sqrt((C + D + Tx)(C + D + Ty)).  With all standard errors zero
-and no exact ties the two agree bit for bit.
+Everything here rests on one two-sided z-test at level alpha: a gap
+d = s_i - s_j is significant when |d| / sqrt(se_i^2 + se_j^2) exceeds a
+finite critical value, so at zero stderrs a nonzero gap is (|d| / 0 is
+inf) and a zero gap is not (0 / 0 is nan).  ``kendall_tau_b`` ties every
+pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
+``kendall_tau`` is the plain (C - D) / (n(n-1)/2); it refuses exact ties,
+and without them it is tau-b at zero stderrs, bit for bit.
 
-All of it, and the partial orders and crossing counts of
-:mod:`~benchrank.alignment`, rests on one kernel, ``_sign_blocks``: per
-benchmark, the M x M square of signs of s_i - s_j, +1 or -1 where the gap
-is significant and 0 for a tie, yielded a block of model rows at a time so
-no array holds the signs of every pair.  The square is antisymmetric, so
-each unordered pair appears twice.  Pairs are concordant when their signs
-agree; score gaps are never multiplied (the product can underflow).  The
-square has two readers: ``build_partial_order`` takes its edges, and
-``_sign_gram`` makes every count.  With S the B x M^2 signs, S S^T / 2
-holds C - D for every benchmark pair (a, b), and its diagonal the number
-of pairs significant on each benchmark; taken on b, that is C + D + Tx.
-Tau, tau-b, crossing counts and the z-test read nothing else.
+The test runs in one kernel, ``_sign_blocks``, which also serves the
+partial orders and crossing counts of :mod:`~benchrank.alignment`: per
+benchmark, the M x M square of signs of s_i - s_j, 0 where the gap is not
+significant, yielded a block of model rows at a time so no array holds the
+signs of every pair.  The square is antisymmetric, so each unordered pair
+appears twice.  Pairs are concordant when their signs agree; score gaps
+are never multiplied (the product can underflow).  The square has two
+readers: ``build_partial_order`` takes its edges, and ``_sign_gram`` makes
+every count that tau, tau-b, crossings and the z-test read.  With S the
+B x M^2 signs, S S^T / 2 holds C - D for every benchmark pair (a, b), and
+its diagonal the number of pairs significant on each benchmark; taken on
+b, that is C + D + Tx.
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -27,7 +28,7 @@ never NaN, and every aggregation skips such cells and counts them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from statistics import NormalDist
 
@@ -51,24 +52,23 @@ class TieError(ValueError):
 
 @dataclass(frozen=True)
 class SignificanceConfig:
-    """Two-sided pairwise z-test configuration.
+    """Two-sided pairwise z-test at level ``alpha``, its only setting.
 
-    ``critical_z`` is derived from ``alpha`` when not given explicitly
-    (1.959964 at the default alpha = 0.05).  The normal approximation is
-    used because inputs are aggregate scores with externally supplied
-    standard errors; degrees of freedom are not available.
+    ``critical_z`` is derived: the normal quantile at 1 - alpha/2 (1.959964
+    at the default 0.05), finite and positive exactly when 0.5 < 1 - alpha/2
+    < 1 in float64, i.e. for 2^-53 < alpha < 1 - 2^-53; other alphas raise.
+    The normal approximation is used because inputs are aggregate scores
+    with externally supplied standard errors (no degrees of freedom).
     """
 
     alpha: float = 0.05
-    critical_z: float | None = None
+    critical_z: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.critical_z is None:
-            object.__setattr__(self, "critical_z", NormalDist().inv_cdf(1.0 - self.alpha / 2.0))
-        if not self.critical_z > 0:
-            raise ValueError(f"critical_z must be > 0, got {self.critical_z}")
+        p = 1.0 - self.alpha / 2.0
+        if not 0.5 < p < 1.0:
+            raise ValueError(f"alpha must satisfy 2^-53 < alpha < 1 - 2^-53, got {self.alpha}")
+        object.__setattr__(self, "critical_z", NormalDist().inv_cdf(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,22 +143,23 @@ def _sign_blocks(scores, stderrs, critical_z: float):
 
     Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give float
     ``signs`` of shape (B, k, M) or (k, M) for models a..a+k-1: entry
-    [..., r, j] is the sign of d = s_(a+r) - s_j if the gap is significant,
-    else 0.  Significant means |d| / sqrt(se_i^2 + se_j^2) > critical_z, or
-    d != 0 when that denominator is 0 (so zero stderrs give plain signs for
-    any critical_z).  Float subtraction is exactly antisymmetric and the
-    denominator symmetric, so the square is antisymmetric with a zero
-    diagonal: each unordered pair appears twice, with opposite signs.
+    [..., r, j] is the sign of d = s_(a+r) - s_j if |d| / sqrt(se_(a+r)^2 +
+    se_j^2) > critical_z, else 0.  ``critical_z`` is finite, so this one
+    comparison settles every edge case: |d| / 0 is inf for d != 0 and nan for
+    d == 0, an infinite gap is significant and an infinite variance is not.
+    Float subtraction is exactly antisymmetric and the denominator
+    symmetric, so the square is antisymmetric with a zero diagonal: each
+    unordered pair appears twice, with opposite signs.
     """
-    m = scores.shape[-1]
     block = max(1, _PAIR_CHUNK // max(1, scores.size))
-    for a in range(0, m, block):
-        se_i, se_j = stderrs[..., a : a + block, None], stderrs[..., None, :]
-        # a gap that overflows to inf is significant; a denominator that does is not
+    with np.errstate(over="ignore"):
+        var = stderrs * stderrs
+    for a in range(0, scores.shape[-1], block):
+        # closed before the yield: errstate is a context variable and would also cover the consumer's code
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             d = scores[..., a : a + block, None] - scores[..., None, :]
-            denom = np.sqrt(se_i * se_i + se_j * se_j)
-            significant = np.where(denom == 0.0, d != 0.0, np.abs(d) / denom > critical_z)
+            denom = np.sqrt(var[..., a : a + block, None] + var[..., None, :])
+            significant = np.abs(d) / denom > critical_z
         yield a, np.where(significant, np.sign(d), 0.0)
 
 
@@ -185,8 +186,8 @@ def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.nd
 
     A cell is (C - D) / sqrt(n_sig[a] n_sig[b]), read off :func:`_sign_gram`;
     it is degenerate (value 0.0) when either count is 0, and the diagonal
-    is 1.  The product of two counts is an integer below 2^53 too, so the
-    one sqrt and one division round exactly as on Python ints.
+    is 1.  Above 2^53 (about 13,000 models) a product of counts rounds once in
+    float64, as ``math.sqrt`` of the Python-int product does: values match.
     """
     c_minus_d = _sign_gram(scores, stderrs, critical_z)
     n_sig = np.diagonal(c_minus_d)
@@ -201,24 +202,21 @@ def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.nd
 def kendall_tau(x, y) -> float:
     """Plain Kendall rank correlation of two score vectors.
 
-    (C - D) / (n(n-1)/2), read off :func:`_sign_gram` with zero stderrs.
-    Both operands are exact integers, so the one division is correctly
-    rounded and values are exactly reproducible.  Exact ties within either
-    vector raise :class:`TieError` (use :func:`kendall_tau_b` for tied or
-    noisy data).
+    (C - D) / (n(n-1)/2) by the steps of ``agreement_matrix(method="tau")``:
+    an exact tie in either vector raises :class:`TieError` (use
+    :func:`kendall_tau_b` for tied or noisy data), then the tau-b cell at
+    zero stderrs, (C - D) / sqrt(fl(P * P)): the float (C - D) / P for P < 2^53.
     """
     scores, stderrs = _checked_pair(x, np.zeros(np.shape(x)), y, np.zeros(np.shape(y)))
     _refuse_ties(scores, "xy", "exact tie in {}; plain tau is undefined under ties")
-    n = scores.shape[1]
-    return float(_sign_gram(scores, stderrs, 1.0)[0, 1] / (n * (n - 1) // 2))
+    return float(_tau_b_matrix(scores, stderrs, 1.0)[0][0, 1])
 
 
 def significant_difference(s1: float, se1: float, s2: float, se2: float, cfg: SignificanceConfig) -> bool:
     """Two-sided z-test: is |s1 - s2| significant given both standard errors?
 
-    True iff |s1 - s2| / sqrt(se1^2 + se2^2) > critical_z.  When both
-    standard errors are zero the test degenerates to exact inequality.
-    Symmetric in its two (score, stderr) arguments.
+    The module's z-test on one pair at ``cfg.critical_z``; symmetric in its
+    two (score, stderr) arguments.
     """
     scores, stderrs = _checked([s1, s2], [se1, se2])
     return bool(_sign_gram(scores[None], stderrs[None], cfg.critical_z)[0, 0])
@@ -258,7 +256,6 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
     stderrs = m.stderrs
     if method == "tau":
         _refuse_ties(oriented, m.benchmark_ids, "benchmark {!r} has exact score ties; use tau_b")
-        # tie-free rows with zero stderrs: tau-b reduces to plain tau bit for bit
         stderrs = np.zeros_like(stderrs)
     values, degenerate = _tau_b_matrix(oriented, stderrs, cfg.critical_z)
     values.setflags(write=False)

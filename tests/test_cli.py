@@ -90,6 +90,13 @@ class TestUsageErrors:
         assert code == 1
         assert not (workspace / "x.json").exists()
 
+    def test_alpha_below_float_resolution(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["agree", "--scores", "nope.csv", "--alpha", "1e-17", "--out", "a.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage: argument --alpha: alpha ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_top_k_not_positive(self, workspace):
         assert run_cli(["pca", "--scores", str(workspace / "direct.csv"), "--top-k", "0", "--out", str(workspace / "x.json")]) == 1
 
@@ -193,6 +200,23 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: output:")
         assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_simulate_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps([SIM_CONFIG]))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: input: {cfg}: expected a JSON object"]
+        assert not out.exists()
+
+    def test_flops_product_overflows(self, tmp_path, capsys):
+        models = tmp_path / "models.csv"
+        models.write_text("model,family,params_b,tokens_b,instruction_tuned\nbig,synth,1e200,1e200,false\n")
+        out = tmp_path / "f.json"
+        assert run_cli(["flops", "--models", str(models), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: input:") and "overflows" in err[0]
+        assert not out.exists()
 
     def test_simulate_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -426,6 +450,25 @@ class TestSubcommandArtifacts:
         assert sorted(r["rank2"] for r in table["models"]) == list(range(1, n + 1))
         assert {"model", "rank1", "rank2", "score1", "stderr1", "score2", "stderr2"} <= set(table["models"][0])
 
+    def test_align_ignores_the_row_order_of_scores_b(self, workspace, tmp_path):
+        lines = (workspace / "tbt.csv").read_text().splitlines()
+        comments = [l for l in lines if l.startswith("#")]
+        header, *rows = [l for l in lines if not l.startswith("#")]
+        rows = [rows[k] for k in np.random.default_rng(3).permutation(len(rows))]
+        shuffled = tmp_path / "tbt_shuffled.csv"
+        shuffled.write_text("\n".join(comments + [header] + rows) + "\n")
+        assert load_scores(shuffled).model_ids != load_scores(workspace / "direct.csv").model_ids
+        tables = []
+        for scores_b in (workspace / "tbt.csv", shuffled):
+            out = tmp_path / f"align_{scores_b.stem}.json"
+            argv = ["align", "--scores-a", str(workspace / "direct.csv"), "--scores-b", str(scores_b),
+                    "--benchmark-a", "bench00", "--benchmark-b", "bench03", "--out", str(out)]
+            assert run_cli(argv) == 0
+            payload = load_artifact(out)
+            payload.pop("manifest")
+            tables.append(payload)
+        assert tables[0] == tables[1]
+
     def test_pca(self, workspace):
         out = workspace / "pca.json"
         assert run_cli(["pca", "--scores", str(workspace / "direct.csv"), "--top-k", "3", "--out", str(out)]) == 0
@@ -567,6 +610,7 @@ class TestManifestContract:
         [
             ["agree", "--scores", "nope.csv", "--alpha", "1.5", "--out", "a.json"],
             ["pca", "--scores", "nope.csv", "--top-k", "0", "--out", "p.json"],
+            pytest.param(["pca", "--scores", "nope.csv", "--top-k", "abc", "--out", "p.json"], id="pca-top-k-abc"),
             ["simulate", "--config", "nope.json", "--mode", "direct", "--seed", "-1", "--out", "s.csv"],
             [
                 "report",
@@ -684,7 +728,7 @@ class TestReport:
             ]
         )
         assert code == 0
-        for name in ("mean_agreement.json", "pc1_compute.json", "evr.json"):
+        for name in REPORT_FILES:
             a = load_artifact(baseline / name)
             b = load_artifact(out / name)
             a.pop("manifest")

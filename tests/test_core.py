@@ -72,6 +72,19 @@ class TestValidation:
             with pytest.raises(ScoreMatrixError, match="n_items"):
                 small_matrix(n_items=n_items)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"n_items": [1000]}, "n_items"),
+            ({"n_items": [1000, None, 5]}, "n_items"),
+            ({"direction": ["higher"]}, "direction"),
+            ({"direction": ["higher", "lower", "higher"]}, "direction"),
+        ],
+    )
+    def test_per_benchmark_field_of_wrong_length(self, overrides, field):
+        with pytest.raises(ScoreMatrixError, match=f"{field} has {len(overrides[field])} entries for 2 benchmarks"):
+            small_matrix(**overrides)
+
     def test_ids_whitespace_trimmed(self):
         m = small_matrix(benchmark_ids=[" acc", "bpb "], model_ids=["A ", " B"])
         assert m.benchmark_ids == ("acc", "bpb")

@@ -560,6 +560,10 @@ class TestManifestAndArtifacts:
         with pytest.raises(ValueError, match="not JSON compliant"):
             render_artifact(payload)
 
+    def test_validate_artifact_not_an_object(self):
+        with pytest.raises(LoadError, match="artifact: expected a JSON object"):
+            validate_artifact([])
+
     def test_validate_artifact_unknown_kind(self):
         with pytest.raises(LoadError, match="unknown artifact kind"):
             validate_artifact({"kind": "mystery", "format_version": 1})

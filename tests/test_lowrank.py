@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,20 @@ class TestComputeFlops:
     @pytest.mark.parametrize("p,t", [(0, 1), (1, 0), (-2, 3)])
     def test_nonpositive_rejected(self, p, t):
         with pytest.raises(ValueError):
+            compute_flops(p, t)
+
+    @pytest.mark.parametrize(
+        "p,t,side",
+        [
+            (1e300, 1e300, "overflows"),
+            (1e200, 1e200, "overflows"),
+            (float("inf"), 1.0, "overflows"),
+            (1.0, float("inf"), "overflows"),
+            (1e-200, 1e-200, "underflows"),
+        ],
+    )
+    def test_product_outside_float64_rejected(self, p, t, side):
+        with pytest.raises(ValueError, match=re.escape(f"{side} float64 at ({p}, {t})")):
             compute_flops(p, t)
 
 

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -43,13 +47,25 @@ class TestSignificanceConfig:
     def test_derived_from_alpha(self):
         assert SignificanceConfig(alpha=0.01).critical_z > CFG.critical_z
 
-    def test_explicit_critical_z(self):
-        assert SignificanceConfig(critical_z=2.5).critical_z == 2.5
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.5])
+    def test_derived_bit_for_bit(self, alpha):
+        assert SignificanceConfig(alpha=alpha).critical_z == NormalDist().inv_cdf(1 - alpha / 2)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0])
+    def test_critical_z_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SignificanceConfig(critical_z=2.5)
+        with pytest.raises(ValueError, match="critical_z"):
+            dataclasses.replace(CFG, critical_z=2.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 2.0, 1e-17, 1e-300, 0.9999999999999999, float("nan")])
     def test_alpha_bounds(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             SignificanceConfig(alpha=alpha)
+
+    def test_alpha_range_ends(self):
+        # the extreme float64 alphas whose 1 - alpha/2 lies strictly inside (0.5, 1)
+        for alpha in [2.0**-53 * (1 + 2.0**-52), 1 - 2.0**-52]:
+            assert 0 < SignificanceConfig(alpha=alpha).critical_z < math.inf
 
 
 class TestKendallTau:
@@ -165,6 +181,22 @@ class TestSignBlocks:
             for i, j in np.ndindex(m, m):
                 significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
                 assert signs[i, j] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
+
+    def test_only_z_test_in_the_package(self):
+        """Every comparison against ``critical_z`` in the package sits in ``_sign_blocks``, and there is one."""
+        found = []
+        for path in sorted(Path(rankstats.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if isinstance(node, ast.Compare) and "critical_z" in names | attrs:
+                    scope = node
+                    while scope in parents and not isinstance(scope, ast.FunctionDef):
+                        scope = parents[scope]
+                    found.append((path.name, getattr(scope, "name", None)))
+        assert found == [("rankstats.py", "_sign_blocks")]
 
 
 @pytest.fixture(params=[rankstats._PAIR_CHUNK, 1], ids=["default-chunk", "chunk-1"])
@@ -459,6 +491,12 @@ class TestCategoryAgreement:
         am = hand_matrix(np.ones((2, 2)))
         with pytest.raises(ValueError, match="without a category"):
             category_agreement(am, [BenchmarkRecord("b0", "LU")])
+
+    def test_duplicate_category_record_rejected(self):
+        am = hand_matrix(np.ones((2, 2)))
+        cats = [BenchmarkRecord("b0", "LU"), BenchmarkRecord("b1", "QA"), BenchmarkRecord("b0", "QA")]
+        with pytest.raises(ValueError, match="duplicate category record for benchmark 'b0'"):
+            category_agreement(am, cats)
 
     def test_canonical_order(self):
         am = hand_matrix(np.ones((3, 3)))
