@@ -38,9 +38,9 @@ from .core import (
     oriented_scores,
 )
 from .io import (
-    FORMAT_VERSION,
     LoadError,
     RunManifest,
+    _envelope,
     _Input,
     infer_format,
     load_benchmark_categories,
@@ -175,16 +175,12 @@ def _matrix_cells(values: np.ndarray, mask: np.ndarray) -> list[list[float | Non
     ]
 
 
-def _payload(kind: str, manifest: RunManifest) -> dict:
-    return {"format_version": FORMAT_VERSION, "kind": kind, "manifest": manifest.to_dict()}
-
-
 def _cmd_agree(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m = load_scores(args.scores)
     cfg = SignificanceConfig(alpha=args.alpha)
     am = agreement_matrix(m, method=args.method.replace("-", "_"), cfg=cfg)
     means = mean_agreement(am)
-    payload = _payload("agreement", manifest)
+    payload = _envelope("agreement", manifest)
     payload.update(
         {
             "method": args.method,
@@ -204,21 +200,16 @@ def _cmd_agree(args, manifest: RunManifest) -> list[tuple[Path, str]]:
 def _aligned_pair_table(
     ma: ScoreMatrix, mb: ScoreMatrix, bench_a: str, bench_b: str, cfg: SignificanceConfig
 ) -> dict:
-    """Figure-style table: parallel ranks plus raw scores for one benchmark pair."""
-    if set(ma.model_ids) != set(mb.model_ids):
-        raise LoadError("the two score matrices cover different model sets")
+    """Figure-style table: parallel ranks plus raw scores for one benchmark pair.
+
+    ``mb`` must list ``ma``'s models in ``ma``'s order; :func:`_reorder_like` makes it so.
+    """
     ia = ma.benchmark_index(bench_a)
     ib = mb.benchmark_index(bench_b)
-    row = {mod: j for j, mod in enumerate(ma.model_ids)}
-    # mb's position of each of ma's models: the inverse of ma's position of each of mb's
-    col = np.argsort([row[mod] for mod in mb.model_ids])
     s1 = oriented_scores(ma, bench_a)
-    s2 = oriented_scores(mb, bench_b)[col]
-    e1 = np.asarray(ma.stderrs[ia], dtype=float)
-    e2 = np.asarray(mb.stderrs[ib], dtype=float)[col]
-    ranking = rank_models(s1, e1, s2, e2, cfg, model_ids=ma.model_ids)
-    raw1 = ma.scores[ia]
-    raw2 = mb.scores[ib][col]
+    s2 = oriented_scores(mb, bench_b)
+    ranking = rank_models(s1, ma.stderrs[ia], s2, mb.stderrs[ib], cfg, model_ids=ma.model_ids)
+    row = {mod: j for j, mod in enumerate(ma.model_ids)}
     rows = []
     for mod in ranking.order1:
         j = row[mod]
@@ -227,10 +218,10 @@ def _aligned_pair_table(
                 "model": mod,
                 "rank1": ranking.rank1[mod],
                 "rank2": ranking.rank2[mod],
-                "score1": float(raw1[j]),
-                "stderr1": float(ma.stderrs[ia][j]),
-                "score2": float(raw2[j]),
-                "stderr2": float(e2[j]),
+                "score1": float(ma.scores[ia, j]),
+                "stderr1": float(ma.stderrs[ia, j]),
+                "score2": float(mb.scores[ib, j]),
+                "stderr2": float(mb.stderrs[ib, j]),
             }
         )
     return {
@@ -244,9 +235,12 @@ def _aligned_pair_table(
 def _cmd_align(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     ma = load_scores(args.scores_a)
     mb = load_scores(args.scores_b)
+    if set(ma.model_ids) != set(mb.model_ids):
+        raise LoadError("the two score matrices cover different model sets")
+    mb = _reorder_like(mb, mb.benchmark_ids, ma.model_ids)
     cfg = SignificanceConfig(alpha=args.alpha)
     table = _aligned_pair_table(ma, mb, args.benchmark_a, args.benchmark_b, cfg)
-    payload = _payload("alignment", manifest)
+    payload = _envelope("alignment", manifest)
     payload.update({"alpha": args.alpha, "tables": [table]})
     return [(Path(args.out), render_artifact(payload))]
 
@@ -258,7 +252,7 @@ def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         raise LoadError(
             f"--top-k {args.top_k} exceeds the {result.n_components} available components"
         )
-    payload = _payload("pca", manifest)
+    payload = _envelope("pca", manifest)
     payload.update(
         {
             "preprocessing": result.preprocessing,
@@ -291,7 +285,7 @@ def _cmd_flops(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         if rec.token_count is not None
     ]
     excluded = [rec.model_id for rec in records if rec.token_count is None]
-    payload = _payload("flops", manifest)
+    payload = _envelope("flops", manifest)
     payload.update({"models": rows, "excluded": excluded})
     return [(Path(args.out), render_artifact(payload))]
 
@@ -320,9 +314,11 @@ def _cmd_simulate(args, manifest: RunManifest) -> list[tuple[Path, str]]:
 
 
 def _reorder_like(m: ScoreMatrix, benchmark_ids, model_ids) -> ScoreMatrix:
-    """Same matrix with rows/columns arranged in the given id order."""
-    rows = [m.benchmark_index(b) for b in benchmark_ids]
-    cols = [m.model_index(x) for x in model_ids]
+    """Same matrix with rows/columns arranged in the given id order (a permutation of its own ids)."""
+    b_at = {b: i for i, b in enumerate(m.benchmark_ids)}
+    m_at = {x: j for j, x in enumerate(m.model_ids)}
+    rows = [b_at[b] for b in benchmark_ids]
+    cols = [m_at[x] for x in model_ids]
     return make_score_matrix(
         benchmark_ids,
         model_ids,
@@ -376,7 +372,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     pcas = {name: fit_pca(m, "center") for name, m in modes.items()}
     ppl = [rec.benchmark_id for rec in cats if rec.category == "PPL" and rec.benchmark_id in m_direct.benchmark_ids]
 
-    fig2 = _payload("mean_agreement", manifest)
+    fig2 = _envelope("mean_agreement", manifest)
     fig2["benchmark_ids"] = list(m_direct.benchmark_ids)
     fig2["modes"] = {}
     for name, am in ams.items():
@@ -390,7 +386,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         {name: _perplexity_block(am, ppl) for name, am in ams.items()} if ppl else None
     )
 
-    fig3 = _payload("category_agreement", manifest)
+    fig3 = _envelope("category_agreement", manifest)
     cat_results = {name: category_agreement(am, cats) for name, am in ams.items()}
     fig3["categories"] = list(next(iter(cat_results.values())).categories)
     fig3["modes"] = {
@@ -401,7 +397,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         for name, res in cat_results.items()
     }
 
-    fig6 = _payload("evr", manifest)
+    fig6 = _envelope("evr", manifest)
     fig6["preprocessing"] = "center"
     fig6["modes"] = {
         name: {
@@ -412,7 +408,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         for name, res in pcas.items()
     }
 
-    fig7 = _payload("pc1_compute", manifest)
+    fig7 = _envelope("pc1_compute", manifest)
     flops_by_model = {rec.model_id: rec.flops for rec in compute_records}
     fig7["models"] = [
         {
@@ -433,7 +429,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     fig7["tau"] = taus
 
     cfg = SignificanceConfig()
-    fig1 = _payload("alignment", manifest)
+    fig1 = _envelope("alignment", manifest)
     fig1["alpha"] = cfg.alpha
     fig1["tables"] = []
     for bench_a, bench_b in pairs:

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BenchmarkRecord, DIRECTIONS, ModelRecord, ScoreMatrix, make_score_matrix
+from .lowrank import compute_flops
 
 FORMAT_VERSION = 1
 SCORE_CSV_HEADER = ["benchmark", "model", "score", "stderr", "n", "direction"]
@@ -134,10 +135,16 @@ def render_scores_csv(m: ScoreMatrix, manifest: RunManifest | None = None) -> st
     return "".join(lines)
 
 
-def render_scores_json(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
-    payload = {"format_version": FORMAT_VERSION, "kind": "score_matrix"}
+def _envelope(kind: str, manifest: RunManifest | None) -> dict:
+    """The leading keys of every JSON artifact: format version, kind and the run manifest, if any."""
+    payload = {"format_version": FORMAT_VERSION, "kind": kind}
     if manifest is not None:
         payload["manifest"] = manifest.to_dict()
+    return payload
+
+
+def render_scores_json(m: ScoreMatrix, manifest: RunManifest | None = None) -> str:
+    payload = _envelope("score_matrix", manifest)
     payload.update(
         benchmark_ids=list(m.benchmark_ids),
         model_ids=list(m.model_ids),
@@ -192,11 +199,11 @@ def _csv_rows(path: str | Path, header: list[str], text: str) -> list[tuple[int,
     return rows
 
 
-def _parse_float(raw: str, path, ln: int, what: str) -> float:
+def _parse(kind: type, raw: str, what: str):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise LoadError(f"{path}:{ln}: cannot parse {what} {raw!r}") from None
+        raise ValueError(f"cannot parse {what} {raw!r}") from None
 
 
 def load_scores(path: str | Path) -> ScoreMatrix:
@@ -254,25 +261,22 @@ def _score_rows(path: str | Path, text: str) -> tuple:
     models: dict[str, None] = {}  # insertion-ordered set
     cells: dict[tuple[str, str], tuple[float, float]] = {}
     for ln, (b, mod, raw_score, raw_se, raw_n, raw_dir) in _csv_rows(path, SCORE_CSV_HEADER, text):
-        cell = (_parse_float(raw_score, path, ln, "score"), _parse_float(raw_se, path, ln, "stderr"))
-        if raw_n == "":
-            n = None
-        else:
-            try:
-                n = int(raw_n)
-            except ValueError:
-                raise LoadError(f"{path}:{ln}: cannot parse n {raw_n!r}") from None
-            if n < 1:
-                raise LoadError(f"{path}:{ln}: n must be >= 1, got {n}")
-        if raw_dir not in DIRECTIONS:
-            raise LoadError(f"{path}:{ln}: direction must be one of {DIRECTIONS}, got {raw_dir!r}")
-        if cells.setdefault((b, mod), cell) is not cell:
-            raise LoadError(f"{path}:{ln}: duplicate row for benchmark {b!r}, model {mod!r}")
-        first_dir, first_n = benchmarks.setdefault(b, (raw_dir, n))
-        if first_dir != raw_dir:
-            raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting directions")
-        if first_n != n:
-            raise LoadError(f"{path}:{ln}: benchmark {b!r} has conflicting n values")
+        try:
+            cell = (_parse(float, raw_score, "score"), _parse(float, raw_se, "stderr"))
+            n = None if raw_n == "" else _parse(int, raw_n, "n")
+            if n is not None and n < 1:
+                raise ValueError(f"n must be >= 1, got {n}")
+            if raw_dir not in DIRECTIONS:
+                raise ValueError(f"direction must be one of {DIRECTIONS}, got {raw_dir!r}")
+            if cells.setdefault((b, mod), cell) is not cell:
+                raise ValueError(f"duplicate row for benchmark {b!r}, model {mod!r}")
+            first_dir, first_n = benchmarks.setdefault(b, (raw_dir, n))
+            if first_dir != raw_dir:
+                raise ValueError(f"benchmark {b!r} has conflicting directions")
+            if first_n != n:
+                raise ValueError(f"benchmark {b!r} has conflicting n values")
+        except ValueError as e:
+            raise LoadError(f"{path}:{ln}: {e}") from None
         models.setdefault(mod)
     if not cells:
         raise LoadError(f"{path}: no data rows")
@@ -307,7 +311,7 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
             raise LoadError(f"{path}: missing key {key!r}")
     if not isinstance(payload["n_items"], list):
         raise LoadError(f"{path}: n_items must be a list of integers >= 1 or null")
-    for key in ("benchmark_ids", "model_ids"):
+    for key in ("benchmark_ids", "model_ids", "direction"):
         if not isinstance(payload[key], list) or not all(isinstance(v, str) for v in payload[key]):
             raise LoadError(f"{path}: {key} must be a list of strings")
     for key in ("scores", "stderrs"):  # json.loads makes exact built-in types, so an exact type test refuses bool
@@ -327,54 +331,50 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
         raise LoadError(f"{path}: {e}") from e
 
 
+def _records(path: str | Path, header: list[str], what: str, build) -> list:
+    """``build(*fields)`` of each data row of a metadata CSV whose first field is a unique id.
+
+    A duplicate id, or a row ``build`` refuses with ``ValueError``, raises a
+    :class:`LoadError` naming the line; a file without rows names ``what``.
+    """
+    records = []
+    seen = set()
+    for ln, fields in _csv_rows(path, header, _read(path)):
+        try:
+            if fields[0] in seen:
+                raise ValueError(f"duplicate {header[0]} {fields[0]!r}")
+            seen.add(fields[0])
+            records.append(build(*fields))
+        except ValueError as e:
+            raise LoadError(f"{path}:{ln}: {e}") from None
+    if not records:
+        raise LoadError(f"{path}: no {what} rows")
+    return records
+
+
+def _model_record(model: str, family: str, raw_params: str, raw_tokens: str, raw_it: str) -> ModelRecord:
+    params = _parse(float, raw_params, "params_b")
+    tokens = None if raw_tokens == "" else _parse(float, raw_tokens, "tokens_b")
+    if raw_it.lower() not in ("true", "false"):
+        raise ValueError(f"instruction_tuned must be true or false, got {raw_it!r}")
+    record = ModelRecord(model, family, params, tokens, raw_it.lower() == "true")
+    if tokens is not None:
+        compute_flops(params, tokens)  # a product outside float64's range is this row's error
+    return record
+
+
 def load_model_metadata(path: str | Path) -> list[ModelRecord]:
     """Read model metadata CSV: ``model,family,params_b,tokens_b,instruction_tuned``.
 
     An empty ``tokens_b`` means the training-token count is not public;
     such models are kept but excluded from compute-based analyses.
     """
-    records = []
-    seen = set()
-    for ln, (model, family, raw_params, raw_tokens, raw_it) in _csv_rows(path, MODEL_CSV_HEADER, _read(path)):
-        if model in seen:
-            raise LoadError(f"{path}:{ln}: duplicate model {model!r}")
-        seen.add(model)
-        params = _parse_float(raw_params, path, ln, "params_b")
-        tokens = None if raw_tokens == "" else _parse_float(raw_tokens, path, ln, "tokens_b")
-        if raw_it.lower() not in ("true", "false"):
-            raise LoadError(f"{path}:{ln}: instruction_tuned must be true or false, got {raw_it!r}")
-        try:
-            records.append(
-                ModelRecord(
-                    model_id=model,
-                    family=family,
-                    param_count=params,
-                    token_count=tokens,
-                    instruction_tuned=raw_it.lower() == "true",
-                )
-            )
-        except ValueError as e:
-            raise LoadError(f"{path}:{ln}: {e}") from None
-    if not records:
-        raise LoadError(f"{path}: no model rows")
-    return records
+    return _records(path, MODEL_CSV_HEADER, "model", _model_record)
 
 
 def load_benchmark_categories(path: str | Path) -> list[BenchmarkRecord]:
     """Read benchmark category CSV: ``benchmark,category``."""
-    records = []
-    seen = set()
-    for ln, (benchmark, category) in _csv_rows(path, CATEGORY_CSV_HEADER, _read(path)):
-        if benchmark in seen:
-            raise LoadError(f"{path}:{ln}: duplicate benchmark {benchmark!r}")
-        seen.add(benchmark)
-        try:
-            records.append(BenchmarkRecord(benchmark_id=benchmark, category=category))
-        except ValueError as e:
-            raise LoadError(f"{path}:{ln}: {e}") from None
-    if not records:
-        raise LoadError(f"{path}: no category rows")
-    return records
+    return _records(path, CATEGORY_CSV_HEADER, "category", BenchmarkRecord)
 
 
 def render_artifact(payload: dict) -> str:

@@ -47,6 +47,10 @@ class TestBuildPartialOrder:
         po = build_partial_order([0.9, 0.8, 0.1], [0.04] * 3, CFG)
         assert po.edges == frozenset({(0, 2), (1, 2)})
 
+    def test_no_models_rejected(self):
+        with pytest.raises(AlignmentError, match="^need at least one model$"):
+            build_partial_order([], [], CFG)
+
     def test_edges_respect_scores_and_significance(self, monkeypatch):
         rng = np.random.default_rng(17)
         sizes = [int(rng.integers(1, 8)) for _ in range(50)] + [250]
@@ -152,6 +156,11 @@ class TestParallelGreedyRank:
         with pytest.raises(AlignmentError, match="model set"):
             parallel_greedy_rank(("A", "B"), chain(("A", "B")), chain(("A", "C")), [1, 0], [1, 0])
 
+    def test_score_vector_length_mismatch(self):
+        ids = ("A", "B")
+        with pytest.raises(AlignmentError, match="^score vectors must match the model list$"):
+            parallel_greedy_rank(ids, chain(ids), chain(ids), [1, 0, 2], [1, 0])
+
     def test_cyclic_graph_detected(self):
         ids = ("A", "B")
         cyclic = PartialOrder.from_edges(ids, frozenset({("A", "B"), ("B", "A")}))
@@ -211,6 +220,10 @@ class TestRankModels:
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
             rank_models([1, 2], [0, 0], [1, 2, 3], [0, 0, 0], CFG)
+
+    def test_model_id_count_mismatch(self):
+        with pytest.raises(AlignmentError, match="^2 model ids for 3 scores$"):
+            rank_models([1, 2, 3], [0] * 3, [1, 2, 3], [0] * 3, CFG, model_ids=("A", "B"))
 
 
 class TestCrossingCount:

@@ -218,6 +218,18 @@ class TestInputErrors:
         assert len(err) == 1 and err[0].startswith("error: input:") and "overflows" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["flops", "report"])
+    def test_flops_range_error_names_the_models_row(self, workspace, monkeypatch, capsys, subcommand):
+        monkeypatch.chdir(workspace)
+        models = workspace / "models.csv"
+        header, first, *rest = models.read_text().splitlines()
+        models.write_text("\n".join([header, first, "big,synth,1e200,1e200,false", *rest]) + "\n")
+        argv = ["flops", "--models", "models.csv", "--out", "f.json"] if subcommand == "flops" else REPORT_ARGV
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: input: models.csv:3: 6 * params * tokens overflows float64 at (1e+200, 1e+200)"]
+        assert not (workspace / "f.json").exists() and not (workspace / "rep").exists()
+
     def test_simulate_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n_models": 4, "n_benchmarks": 3, "mystery": 1}))
@@ -688,6 +700,17 @@ class TestReport:
             ("bench01", "bench03", "direct"),
             ("bench01", "bench03", "train_before_test"),
         ]
+
+    @pytest.mark.parametrize("mode, scores", [("direct", "direct.csv"), ("train_before_test", "tbt.csv")])
+    def test_alignment_table_is_align_on_that_file(self, workspace, tmp_path, mode, scores):
+        out = tmp_path / "rep"
+        assert self.run_report(workspace, out, extra=["--align-pair", "bench01:bench03"]) == 0
+        tables = load_artifact(out / "alignment.json")["tables"]
+        (table,) = [t for t in tables if t.pop("mode") == mode]
+        argv = ["align", "--scores-a", str(workspace / scores), "--scores-b", str(workspace / scores),
+                "--benchmark-a", "bench01", "--benchmark-b", "bench03", "--out", str(tmp_path / "a.json")]
+        assert run_cli(argv) == 0
+        assert load_artifact(tmp_path / "a.json")["tables"] == [table]
 
     def test_bad_align_pair_is_usage_error(self, workspace, tmp_path):
         assert self.run_report(workspace, tmp_path / "rep", extra=["--align-pair", "bench01bench03"]) == 1

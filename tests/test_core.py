@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from benchrank.core import (
+    DEGENERATE,
     BenchmarkRecord,
     ModelRecord,
     ScoreMatrixError,
@@ -125,6 +126,16 @@ class TestOrientation:
         m = make_score_matrix(["ppl"], list("WXYZ"), [raw], [np.zeros_like(raw)], direction=["lower"])
         oriented = oriented_scores(m, "ppl")
         assert np.array_equal(np.argsort(-oriented), np.argsort(raw))
+
+
+class TestLookups:
+    def test_unknown_model_id(self):
+        assert small_matrix().model_index("B") == 1
+        with pytest.raises(KeyError, match="unknown model id 'nope'"):
+            small_matrix().model_index("nope")
+
+    def test_degenerate_repr(self):
+        assert repr(DEGENERATE) == "DEGENERATE"
 
 
 class TestRecords:

@@ -456,6 +456,25 @@ class TestModelMetadata:
         assert rec.token_count is None
         assert rec.instruction_tuned is True
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("big,synth,1e200,1e200,false", "overflows float64 at (1e+200, 1e+200)"),
+            ("tiny,synth,1e-200,1e-200,false", "underflows float64 at (1e-200, 1e-200)"),
+        ],
+    )
+    def test_flops_out_of_range_cites_line(self, tmp_path, row, reason):
+        p = tmp_path / "m.csv"
+        p.write_text(f"model,family,params_b,tokens_b,instruction_tuned\nm0,f,1,100,false\n{row}\n")
+        with pytest.raises(LoadError) as info:
+            load_model_metadata(p)
+        assert str(info.value) == f"{p}:3: 6 * params * tokens {reason}"
+
+    def test_flops_unchecked_without_tokens(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("model,family,params_b,tokens_b,instruction_tuned\nbig,synth,1e300,,false\n")
+        assert load_model_metadata(p)[0].param_count == 1e300
+
     def test_zero_params_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("model,family,params_b,tokens_b,instruction_tuned\nm0,f,0,100,false\n")
@@ -611,6 +630,10 @@ class TestLoadScoresJson:
             ("benchmark_ids", ["mnli", 7]),
             ("model_ids", [None, "B"]),
             ("model_ids", "AB"),
+            ("direction", "higher"),
+            ("direction", 5),
+            ("direction", None),
+            ("direction", ["higher", 5]),
         ],
         ids=repr,
     )

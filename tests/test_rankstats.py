@@ -445,6 +445,10 @@ class TestMeanAgreement:
         assert means.means[0] == 0.4
         assert list(means.n_excluded) == [1, 1, 0]
 
+    def test_one_benchmark_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 benchmarks$"):
+            mean_agreement(hand_matrix([[1.0]]))
+
     def test_fully_degenerate_row_raises(self):
         deg = np.zeros((2, 2), dtype=bool)
         deg[0, 1] = deg[1, 0] = True

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from benchrank.core import validate_score_matrix
+from benchrank.core import DegenerateError, validate_score_matrix
 from benchrank.rankstats import _defined_mean, agreement_matrix
 from benchrank.synth import SyntheticConfig, _cell_seed_words, generate, paired_experiment
 
@@ -295,6 +295,11 @@ class TestPairedExperiment:
         assert s.evr1_difference == s.evr1_train_before_test - s.evr1_direct
         assert 0.0 <= s.evr1_direct <= 1.0 and 0.0 <= s.evr1_train_before_test <= 1.0
         assert s.n_degenerate_direct == 0 and s.n_degenerate_train_before_test == 0
+
+    def test_every_pair_degenerate_raises(self):
+        # a bias this low puts every score at 0, so every benchmark row is fully tied
+        with pytest.raises(DegenerateError, match="^every benchmark pair is degenerate$"):
+            paired_experiment(SyntheticConfig(n_models=3, n_benchmarks=2, benchmark_bias=-1000.0))
 
     def test_train_before_test_raises_agreement(self):
         s = paired_experiment(
