@@ -308,7 +308,10 @@ def _cmd_simulate(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     manifest = replace(manifest, flags={**manifest.flags, "seed": cfg.seed})
-    m = generate(cfg, _CLI_MODES[args.mode])
+    try:
+        m = generate(cfg, _CLI_MODES[args.mode])
+    except ValueError as e:
+        raise LoadError(f"{args.config}: {e}") from e
     render = render_scores_csv if infer_format(args.out) == "long-csv" else render_scores_json
     return [(Path(args.out), render(m, manifest))]
 

@@ -23,6 +23,15 @@ seed words of all those children are derived in one vectorised pass of
 SeedSequence's hash (entropy-pool mixing, then ``generate_state``) over
 every cell at once; the streams, and so the output, are identical to the
 ones per-cell ``SeedSequence`` objects give.
+
+``generate`` then makes one flat pass over the cells in row-major order.
+Everything that does not change along a row (loading, bias, uplift, item
+count) is a Python number read once per row, the capabilities are one
+Python list, and the scores collect in lists that become arrays at the
+end, so the per-cell arithmetic is plain float arithmetic: it overflows
+to +-inf without a warning and rounds as numpy's float64 does.  What is
+left per cell is the layout's fixed cost: two ``PCG64`` and two
+``Generator`` objects, one normal and one binomial draw.
 """
 
 from __future__ import annotations
@@ -77,9 +86,12 @@ class SyntheticConfig:
     per benchmark.  ``flops_range`` spans the models' pre-training compute;
     models are geometrically spaced across it and it is stored as a tuple
     of floats.  ``n_models``, ``n_benchmarks``, ``seed`` and the ``n_items``
-    entries must be integers and ``seed`` must be >= 0; every other field
-    (each entry of a per-benchmark one, both ends of ``flops_range``) must
-    be a finite real number.  ``bool`` is neither.
+    entries must be integers, ``seed`` must be >= 0 and each ``n_items``
+    entry must fit an int64; every other field (each entry of a
+    per-benchmark one, both ends of ``flops_range``) must be a finite real
+    number.  ``bool`` is neither.  ``capability_slope``, ``prep_sd`` and
+    ``residual_prep`` are stored as floats, so that a draw depends on their
+    values and not on their numpy types.
     """
 
     n_models: int
@@ -100,9 +112,12 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(_is_int(n) for n in _entries(self.n_items)):
             raise ValueError(f"n_items entries must be integers, got {self.n_items!r}")
+        if not all(1 <= int(n) < 2**63 for n in _entries(self.n_items)):
+            raise ValueError(f"n_items entries must be in [1, 2**63 - 1], got {self.n_items!r}")
         for name in ("capability_slope", "prep_sd", "residual_prep"):
             if not _is_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("benchmark_loading", "benchmark_bias", "finetune_uplift"):
             if not all(_is_real(v) for v in _entries(getattr(self, name))):
                 raise ValueError(f"{name} entries must be finite real numbers, got {getattr(self, name)!r}")
@@ -122,12 +137,11 @@ class SyntheticConfig:
         if not (0.0 <= self.residual_prep <= 1.0):
             raise ValueError(f"residual_prep must be in [0, 1], got {self.residual_prep}")
         self.biases()  # raises on a wrong length
+        self.items()  # raises on a wrong length
         if np.any(self.loadings() <= 0):
             raise ValueError("benchmark_loading entries must be > 0")
         if np.any(self.uplifts() < 0):
             raise ValueError("finetune_uplift entries must be >= 0")
-        if np.any(self.items() < 1):
-            raise ValueError("n_items entries must be >= 1")
 
     def loadings(self) -> np.ndarray:
         return _per_benchmark(self.benchmark_loading, self.n_benchmarks, "benchmark_loading")
@@ -262,32 +276,34 @@ def generate(cfg: SyntheticConfig, mode: str) -> ScoreMatrix:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     direct = mode == "direct"
-    a = cfg.loadings()
-    b = cfg.biases()
-    delta = cfg.uplifts()
-    items = cfg.items()
-    g = cfg.capabilities()
-    prep_scale = 1.0 if direct else cfg.residual_prep
     nb, nm = cfg.n_benchmarks, cfg.n_models
-    words = _cell_seed_words(cfg.seed, nb, nm)
-    scores = np.empty((nb, nm))
-    stderrs = np.empty((nb, nm))
-    for i in range(nb):
-        for j in range(nm):
-            prep_rng = np.random.Generator(np.random.PCG64(_PresetSeed(words[i, j, 0])))
-            binom_rng = np.random.Generator(np.random.PCG64(_PresetSeed(words[i, j, 1])))
-            prep = cfg.prep_sd * prep_rng.standard_normal()
-            logit = a[i] * g[j] + b[i] + prep * prep_scale + (0.0 if direct else delta[i])
-            q = _logistic(logit)
-            score = binom_rng.binomial(int(items[i]), q) / items[i]
-            scores[i, j] = score
-            stderrs[i, j] = math.sqrt(score * (1.0 - score) / items[i])
+    g = cfg.capabilities().tolist()
+    items = cfg.items().tolist()
+    shifts = [0.0] * nb if direct else cfg.uplifts().tolist()
+    prep_sd = cfg.prep_sd
+    prep_scale = 1.0 if direct else cfg.residual_prep
+    # the cells' seed rows in row-major order: (i, j, 0), (i, j, 1), (i, j + 1, 0), ...
+    seeds = map(_PresetSeed, _cell_seed_words(cfg.seed, nb, nm).reshape(-1, 4))
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    scores, stderrs = [], []
+    try:
+        for a, b, shift, n in zip(cfg.loadings().tolist(), cfg.biases().tolist(), shifts, items):
+            fn = float(n)  # a binomial count over float(n), as an int64 n divides
+            for gj, prep_seed, binom_seed in zip(g, seeds, seeds):
+                prep = prep_sd * Generator(PCG64(prep_seed)).standard_normal()
+                q = _logistic(a * gj + b + prep * prep_scale + shift)
+                score = Generator(PCG64(binom_seed)).binomial(n, q) / fn
+                scores.append(score)
+                stderrs.append(math.sqrt(score * (1.0 - score) / fn))
+    except ValueError as e:  # binomial refuses a NaN success probability
+        i, j = divmod(len(scores), nm)
+        raise ValueError(f"benchmark {cfg.benchmark_ids()[i]}, model {cfg.model_ids()[j]}: {e}") from None
     return make_score_matrix(
         cfg.benchmark_ids(),
         cfg.model_ids(),
-        scores,
-        stderrs,
-        n_items=[int(n) for n in items],
+        np.array(scores).reshape(nb, nm),
+        np.array(stderrs).reshape(nb, nm),
+        n_items=items,
         direction="higher",
     )
 

@@ -7,6 +7,9 @@ import pytest
 from benchrank import __version__, cli
 from benchrank.cli import run_cli
 from benchrank.io import file_sha256, load_artifact, load_scores
+from benchrank.synth import SyntheticConfig
+
+from oracles import generate_oracle
 
 SIM_CONFIG = {
     "n_models": 8,
@@ -275,6 +278,42 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: input: {cfg}: benchmark_bias must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_items", [2**64, -(2**64), [5, 2**64]], ids=repr)
+    def test_simulate_n_items_outside_int64(self, tmp_path, capsys, n_items):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_models": 3, "n_benchmarks": 2, "n_items": n_items}))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: {cfg}: n_items entries must be in ")
+        assert not out.exists()
+
+    def test_simulate_nan_logit_names_the_config_and_cell(self, tmp_path, capsys):
+        # prep_sd * z overflows to +-inf, and inf * residual_prep 0 is NaN
+        raw = {"n_models": 10, "n_benchmarks": 6, "prep_sd": 1e308, "residual_prep": 0, "n_items": 10}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "tbt", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: {cfg}: benchmark bench"), err
+        assert ", model model" in err[0] and "NaN" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_overflowing_logit_is_silent(self, tmp_path, capsys):
+        # a*g + b overflows to +inf in some cells, a sure success
+        raw = {"n_models": 3, "n_benchmarks": 2, "benchmark_bias": 1e308, "capability_slope": 1e308}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", str(cfg), "--mode", "direct", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with np.errstate(over="ignore"):
+            scores, stderrs = generate_oracle(SyntheticConfig(**raw), "direct")
+        m = load_scores(out)
+        assert np.array_equal(m.scores, scores) and np.array_equal(m.stderrs, stderrs)
 
     @pytest.mark.parametrize(
         "argv, missing",

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from benchrank.core import DegenerateError, validate_score_matrix
 from benchrank.rankstats import _defined_mean, agreement_matrix
 from benchrank.synth import SyntheticConfig, _cell_seed_words, generate, paired_experiment
 
-from oracles import generate_oracle
+from oracles import _oracle_cell_streams, generate_oracle
 
 # seeds of one to three 32-bit words, at and around the word boundaries
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**73 + 0x1234567]
@@ -87,6 +88,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg(**overrides)
 
+    @pytest.mark.parametrize(
+        "n_items", [2**63, 2**64, -(2**64), [5, 5, 2**64, 5], np.uint64(2**64 - 1), -1], ids=repr
+    )
+    def test_n_items_out_of_range_names_the_field(self, n_items):
+        with pytest.raises(ValueError, match=r"^n_items entries must be in \[1, 2\*\*63 - 1\]"):
+            cfg(n_items=n_items)
+
+    def test_largest_int64_item_count_accepted(self):
+        assert cfg(n_items=2**63 - 1).items()[0] == 2**63 - 1
+
     def test_real_fields_accept_integers_and_numpy_numbers(self):
         c = cfg(
             capability_slope=np.float32(1.5),
@@ -99,6 +110,20 @@ class TestConfigValidation:
         ref = cfg(capability_slope=1.5, benchmark_loading=[1.0, 2.0, 3.0, 4.0], prep_sd=1.0, residual_prep=0.5)
         for mode in ("direct", "train_before_test"):
             assert np.array_equal(generate(c, mode).scores, generate(ref, mode).scores)
+
+    def test_scalar_reals_stored_as_floats(self):
+        # a float32 preparation scale draws what its float value draws; 2**60
+        # items resolve a success probability finely enough to show a float32 logit
+        c = cfg(capability_slope=np.float32(0.3), prep_sd=np.float32(0.3), residual_prep=np.float16(0.7), n_items=2**60)
+        assert all(type(v) is float for v in (c.capability_slope, c.prep_sd, c.residual_prep))
+        ref = cfg(
+            capability_slope=float(np.float32(0.3)),
+            prep_sd=float(np.float32(0.3)),
+            residual_prep=float(np.float16(0.7)),
+            n_items=2**60,
+        )
+        for mode in ("direct", "train_before_test"):
+            assert generate(c, mode).scores.tobytes() == generate(ref, mode).scores.tobytes()
 
     def test_numpy_integers_accepted(self):
         c = cfg(n_models=np.int64(8), n_benchmarks=np.int32(4), seed=np.uint64(2**64 - 1), n_items=np.int64(400))
@@ -165,6 +190,28 @@ class TestSeedDerivation:
                 scores, stderrs = generate_oracle(c, mode)
                 assert m.scores.tobytes() == scores.tobytes(), (k, mode)
                 assert m.stderrs.tobytes() == stderrs.tobytes(), (k, mode)
+
+
+# integer and huge item counts (a count over 2**53 divides as float(k) / float(n)),
+# integer and huge preparation scales
+EDGE_CASES = {
+    "n_items=2**53+1": dict(n_items=2**53 + 1),
+    "n_items=2**62": dict(n_items=2**62, prep_sd=0.9, residual_prep=0.4),
+    "n_items=[1, 2**53+1]": dict(n_items=[1, 2**53 + 1, 1, 2**53 + 1], finetune_uplift=0.3),
+    "prep_sd=1, residual_prep=0": dict(prep_sd=1, residual_prep=0, finetune_uplift=[0.0, 0.1, 0.2, 0.3]),
+    "prep_sd=2, residual_prep=1": dict(prep_sd=2, residual_prep=1),
+    "prep_sd=10**30": dict(prep_sd=10**30, residual_prep=0.5),
+}
+
+
+@pytest.mark.parametrize("mode", ["direct", "train_before_test"])
+@pytest.mark.parametrize("overrides", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_generate_matches_oracle_on_edge_cases(overrides, mode):
+    c = cfg(seed=3, **overrides)
+    m = generate(c, mode)
+    scores, stderrs = generate_oracle(c, mode)
+    assert m.scores.tobytes() == scores.tobytes()
+    assert m.stderrs.tobytes() == stderrs.tobytes()
 
 
 # sha256 of scores.tobytes() + stderrs.tobytes(), recorded with one
@@ -264,6 +311,19 @@ class TestGenerate:
         orders = {tuple(np.argsort(-m.scores[i])) for i in range(m.n_benchmarks)}
         assert len(orders) == 1
         assert mean_pairwise_tau(m) == 1.0
+
+    def test_nan_logit_names_the_cell(self):
+        # a preparation offset of +-inf times residual_prep 0 makes a NaN logit
+        c = SyntheticConfig(n_models=10, n_benchmarks=6, prep_sd=1e308, residual_prep=0.0, n_items=10)
+        i, j = next(
+            (i, j)
+            for i in range(6)
+            for j in range(10)
+            if math.isinf(1e308 * _oracle_cell_streams(c.seed, i, j)[0].standard_normal())
+        )
+        with pytest.raises(ValueError, match=rf"^benchmark bench{i:02d}, model model{j:02d}: .*NaN"):
+            generate(c, "train_before_test")
+        assert np.isfinite(generate(c, "direct").scores).all()  # an infinite logit is a sure 0 or 1
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
