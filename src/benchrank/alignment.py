@@ -39,7 +39,9 @@ The minimum is found exactly without scanning all |F1| * |F2| pairs:
   both empty B1xB2 alone.  So the penalty alone decides between products,
   and neither rank sums nor ids are compared across them.  Each side thus
   chooses on its own: m1 is the smallest vanilla2 in A1, or in F1 when A1
-  is empty, and m2 likewise the smallest vanilla1 in A2, or in F2.
+  is empty, and m2 likewise the smallest vanilla1 in A2, or in F2.  With
+  vanilla ranks in 1..n, that is the smallest integer key over F1, where a
+  model's key is vanilla2 in A1 and vanilla2 + n in B1; and likewise for m2.
 
 Each step therefore costs O(|F1| + |F2|).  Partial orders are held as
 winner/loser index arrays and the frontiers as CSR successor lists over
@@ -54,7 +56,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .rankstats import SignificanceConfig, _checked, _sign_blocks, _sign_gram
+from .rankstats import SignificanceConfig, _checked, _sign_blocks
 
 
 class AlignmentError(ValueError):
@@ -155,7 +157,8 @@ def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.nda
     """
     scores = np.asarray(scores, dtype=float)
     ids = _default_ids(len(scores), model_ids)
-    order = sorted(range(len(ids)), key=lambda k: (-scores[k], ids[k]))
+    s = scores.tolist()
+    order = sorted(range(len(ids)), key=lambda k: (-s[k], ids[k]))
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[order] = np.arange(1, len(ids) + 1)
     return ranks
@@ -180,8 +183,9 @@ class _Frontier:
         self.available.discard(k)
         succ = self.succ[self.start[k] : self.start[k + 1]]
         # edges are distinct, so no position repeats within one successor list
-        self.indeg[succ] -= 1
-        self.available.update(succ[self.indeg[succ] == 0].tolist())
+        indeg = self.indeg[succ] - 1
+        self.indeg[succ] = indeg
+        self.available.update(succ[indeg == 0].tolist())
 
 
 def parallel_greedy_rank(
@@ -210,24 +214,26 @@ def parallel_greedy_rank(
     vr1 = vanilla_ranks(score1, models).tolist()
     vr2 = vanilla_ranks(score2, models).tolist()
     f1, f2 = _Frontier(g1, models), _Frontier(g2, models)
-    placed1 = [False] * len(models)
-    placed2 = [False] * len(models)
+    # a mismatch step picks m1 by key1 = vanilla2, plus n until m1 is placed in order2,
+    # so models already in the other order come first; key2 likewise for m2
+    n = len(models)
+    key1 = [r + n for r in vr2]
+    key2 = [r + n for r in vr1]
     order1: list[Hashable] = []
     order2: list[Hashable] = []
-    for _ in range(len(models)):
+    for _ in range(n):
         if not f1.available or not f2.available:
             raise AlignmentError("cyclic partial order: frontier exhausted before all models placed")
         common = f1.available & f2.available
         if common:
             k1 = k2 = min(common, key=lambda k: (vr2[k] + vr1[k], models[k]))
         else:
-            # prefer a model already placed in the other order, then the best other-task rank
-            k1 = min(f1.available, key=lambda k: (not placed2[k], vr2[k]))
-            k2 = min(f2.available, key=lambda k: (not placed1[k], vr1[k]))
+            k1 = min(f1.available, key=key1.__getitem__)
+            k2 = min(f2.available, key=key2.__getitem__)
         order1.append(models[k1])
         order2.append(models[k2])
-        placed1[k1] = True
-        placed2[k2] = True
+        key2[k1] -= n
+        key1[k2] -= n
         f1.remove(k1)
         f2.remove(k2)
     return tuple(order1), tuple(order2)
@@ -262,10 +268,9 @@ def rank_models(
 def crossing_count(a: AlignedRanking) -> int:
     """Number of model pairs ranked in opposite relative order by the two tasks.
 
-    Ranks are distinct, so every one of the P pairs is concordant or
-    crossed: C + D = P, and :func:`~benchrank.rankstats._sign_gram` gives
-    C - D, so the crossings are D = (P - (C - D)) / 2.
+    Listed in ``order1``'s order, the task-2 ranks form a permutation, and a
+    pair crosses exactly when it is an inversion of it: #{i < j : pos_i > pos_j}.
+    The count runs one row of comparisons at a time, in O(n) extra memory.
     """
-    ranks = np.array([[a.rank1[m] for m in a.order1], [a.rank2[m] for m in a.order1]], dtype=float)
-    n = ranks.shape[1]
-    return int(n * (n - 1) // 2 - _sign_gram(ranks, np.zeros_like(ranks), 1.0)[0, 1]) // 2
+    pos = np.array([a.rank2[m] for m in a.order1], dtype=np.intp)
+    return sum(int(np.count_nonzero(pos[i + 1 :] < p)) for i, p in enumerate(pos.tolist()))

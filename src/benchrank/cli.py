@@ -210,6 +210,8 @@ def _aligned_pair_table(
     s2 = oriented_scores(mb, bench_b)
     ranking = rank_models(s1, ma.stderrs[ia], s2, mb.stderrs[ib], cfg, model_ids=ma.model_ids)
     row = {mod: j for j, mod in enumerate(ma.model_ids)}
+    score1, stderr1 = ma.scores[ia].tolist(), ma.stderrs[ia].tolist()
+    score2, stderr2 = mb.scores[ib].tolist(), mb.stderrs[ib].tolist()
     rows = []
     for mod in ranking.order1:
         j = row[mod]
@@ -218,10 +220,10 @@ def _aligned_pair_table(
                 "model": mod,
                 "rank1": ranking.rank1[mod],
                 "rank2": ranking.rank2[mod],
-                "score1": float(ma.scores[ia, j]),
-                "stderr1": float(ma.stderrs[ia, j]),
-                "score2": float(mb.scores[ib, j]),
-                "stderr2": float(mb.stderrs[ib, j]),
+                "score1": score1[j],
+                "stderr1": stderr1[j],
+                "score2": score2[j],
+                "stderr2": stderr2[j],
             }
         )
     return {
@@ -308,11 +310,12 @@ def _cmd_simulate(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     manifest = replace(manifest, flags={**manifest.flags, "seed": cfg.seed})
+    # an unsupported output suffix fails before the simulation runs, not after it
+    render = render_scores_csv if infer_format(args.out) == "long-csv" else render_scores_json
     try:
         m = generate(cfg, _CLI_MODES[args.mode])
     except ValueError as e:
         raise LoadError(f"{args.config}: {e}") from e
-    render = render_scores_csv if infer_format(args.out) == "long-csv" else render_scores_json
     return [(Path(args.out), render(m, manifest))]
 
 

@@ -9,14 +9,15 @@ pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
 and without them it is tau-b at zero stderrs, bit for bit.
 
 The test runs in one kernel, ``_sign_blocks``, which also serves the
-partial orders and crossing counts of :mod:`~benchrank.alignment`: per
-benchmark, the M x M square of signs of s_i - s_j, 0 where the gap is not
-significant, yielded a block of model rows at a time so no array holds the
-signs of every pair.  The square is antisymmetric, so each unordered pair
-appears twice.  Pairs are concordant when their signs agree; score gaps
-are never multiplied (the product can underflow).  The square has two
-readers: ``build_partial_order`` takes its edges, and ``_sign_gram`` makes
-every count that tau, tau-b, crossings and the z-test read.  With S the
+partial orders of :mod:`~benchrank.alignment`: per benchmark, the M x M
+square of signs of s_i - s_j, 0 where the gap is not significant, yielded
+a block of model rows at a time so no array holds the signs of every pair.
+The square is antisymmetric, so each unordered pair appears twice.  Pairs
+are concordant when their signs agree; score gaps are never multiplied
+(the product can underflow).  The square has two readers:
+``build_partial_order`` takes its edges, and ``_sign_gram`` makes every
+count that tau, tau-b and the z-test read.  (The alignment's crossings
+are an inversion count of its two rankings and read no signs.)  With S the
 B x M^2 signs, S S^T / 2 holds C - D for every benchmark pair (a, b), and
 its diagonal the number of pairs significant on each benchmark; taken on
 b, that is C + D + Tx.

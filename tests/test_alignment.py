@@ -260,6 +260,56 @@ class TestCrossingCount:
             assert crossing_count(ar) == expected
 
 
+def merge_sort_inversions(values):
+    """Sorted copy of ``values`` and its inversion count, by merge sort."""
+    if len(values) < 2:
+        return list(values), 0
+    mid = len(values) // 2
+    left, a = merge_sort_inversions(values[:mid])
+    right, b = merge_sort_inversions(values[mid:])
+    merged, count, i, j = [], a + b, 0, 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            merged.append(right[j])
+            count += len(left) - i
+            j += 1
+        else:
+            merged.append(left[i])
+            i += 1
+    return merged + left[i:] + right[j:], count
+
+
+class TestCrossingCountLarge:
+    """The inversion count is exact at n = 3000."""
+
+    N = 3000
+
+    def make(self, perm):
+        order1 = tuple(range(self.N))
+        order2 = tuple(int(k) for k in perm)
+        return AlignedRanking(
+            order1=order1,
+            order2=order2,
+            rank1={m: i + 1 for i, m in enumerate(order1)},
+            rank2={m: i + 1 for i, m in enumerate(order2)},
+        )
+
+    def test_full_reversal(self):
+        assert crossing_count(self.make(range(self.N - 1, -1, -1))) == self.N * (self.N - 1) // 2
+
+    def test_adjacent_swap(self):
+        perm = list(range(self.N))
+        perm[1500], perm[1501] = perm[1501], perm[1500]
+        assert crossing_count(self.make(perm)) == 1
+
+    def test_random_permutations_match_merge_sort(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            ar = self.make(rng.permutation(self.N))
+            _, expected = merge_sort_inversions([ar.rank2[m] for m in ar.order1])
+            assert crossing_count(ar) == expected
+
+
 def random_case(rng, n):
     """Two tasks on n models: rounded (tied) scores, zero stderrs on one task and int ids, at random."""
     s1, s2 = rng.uniform(size=n), rng.uniform(size=n)
@@ -299,6 +349,25 @@ class TestMatchesGreedyOracle:
             models = tuple(ids[k] for k in perm)
             got = parallel_greedy_rank(models, g1, g2, s1[perm], s2[perm])
             assert got == greedy_oracle(models, g1, g2, s1[perm], s2[perm])
+
+    def test_hand_built_dags(self):
+        # sparse random DAGs over a random topological order each, unrelated to the scores, so
+        # frontiers are wide and mismatch steps pick by the integer keys on graphs no score makes
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            ids = tuple(f"m{k}" for k in rng.permutation(n))
+            p = rng.uniform(0.0, 3.0 / max(n, 1))
+            orders = []
+            for _ in range(2):
+                topo = [ids[k] for k in rng.permutation(n)]
+                edges = [(a, b) for i, a in enumerate(topo) for b in topo[i + 1 :] if rng.random() < p]
+                orders.append(PartialOrder.from_edges(ids, edges))
+            s1, s2 = np.round(rng.uniform(size=(2, n)), int(rng.integers(1, 4)))
+            perm = rng.permutation(n)
+            models = tuple(ids[k] for k in perm)
+            got = parallel_greedy_rank(models, *orders, s1[perm], s2[perm])
+            assert got == greedy_oracle(models, *orders, s1[perm], s2[perm])
 
     def test_matches_tied_on_rank_sum(self):
         # B and A are both in both frontiers with vanilla rank sum 3: the id decides

@@ -169,7 +169,11 @@ class TestInputErrors:
         ids=["pca", "simulate"],
     )
     def test_unsupported_score_suffix_names_the_path(self, workspace, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("simulate generated before checking the output suffix")
+
         monkeypatch.chdir(workspace)
+        monkeypatch.setattr(cli, "generate", never)
         if argv[0] == "pca":
             (workspace / "x.txt").write_text((workspace / "direct.csv").read_text())
         before = set(workspace.iterdir())

@@ -172,7 +172,7 @@ class TestSignBlocks:
         m = scores.shape[-1]
         square = np.concatenate([s for _, s in blocks], axis=-2) if blocks else np.zeros(scores.shape + (0,))
         assert square.shape == scores.shape + (m,)
-        # the tau-b and crossing-count halvings rely on each pair appearing twice, with opposite signs
+        # the Gram's halving for tau, tau-b and the z-test relies on each pair appearing twice, with opposite signs
         assert np.array_equal(square, -np.swapaxes(square, -1, -2))
         assert not np.diagonal(square, axis1=-2, axis2=-1).any()
         rows = np.atleast_2d(scores)
