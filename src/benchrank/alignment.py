@@ -44,8 +44,12 @@ The minimum is found exactly without scanning all |F1| * |F2| pairs:
   model's key is vanilla2 in A1 and vanilla2 + n in B1; and likewise for m2.
 
 Each step therefore costs O(|F1| + |F2|).  Partial orders are held as
-winner/loser index arrays and the frontiers as CSR successor lists over
-model positions.
+winner/loser index arrays with each winner's edges contiguous, so a
+frontier reads every model's successors as one slice between group
+bounds, with no sort.  ``build_partial_order`` meets that grouping by
+construction: it visits the upper triangle of the sign square in
+descending score order, where every significant pair is an edge from row
+to column, row by row.
 """
 
 from __future__ import annotations
@@ -68,10 +72,13 @@ class PartialOrder:
     """DAG over models: edge k means model ``winners[k]`` significantly beats ``losers[k]``.
 
     ``winners`` and ``losers`` are equal-length int arrays of positions in
-    ``model_ids``, one entry per distinct edge.  Orders from
-    :func:`build_partial_order` are acyclic by construction since every
-    edge points from a strictly higher oriented score to a strictly lower
-    one.
+    ``model_ids``, one entry per distinct edge, grouped by winner: the
+    edges of one winner are contiguous (groups may come in any order).
+    :func:`build_partial_order` and :meth:`from_edges` meet this; the
+    aligner raises :class:`AlignmentError` on an order that does not.
+    Orders from :func:`build_partial_order` are acyclic by construction
+    since every edge points from a strictly higher oriented score to a
+    strictly lower one.
     """
 
     model_ids: tuple[Hashable, ...]
@@ -80,7 +87,7 @@ class PartialOrder:
 
     @classmethod
     def from_edges(cls, model_ids: Sequence[Hashable], edges) -> PartialOrder:
-        """Order from (winner id, loser id) pairs, for hand-built graphs."""
+        """Order from (winner id, loser id) pairs, for hand-built graphs; sorted, so grouped by winner."""
         ids = _default_ids(len(model_ids), model_ids)
         index = {m: k for k, m in enumerate(ids)}
         ends = []
@@ -88,7 +95,7 @@ class PartialOrder:
             if a not in index or b not in index:
                 raise AlignmentError(f"edge ({a!r}, {b!r}) references unknown model")
             ends.append((index[a], index[b]))
-        ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        ends = np.array(sorted(ends), dtype=np.intp).reshape(-1, 2)
         return cls(ids, ends[:, 0], ends[:, 1])
 
     @cached_property
@@ -138,15 +145,22 @@ def build_partial_order(
 
     Scores must already be oriented (greater means better).  For every
     distinct model pair, a directed edge winner -> loser is added iff the
-    difference passes the two-sided z-test.
+    difference passes the two-sided z-test.  The sign kernel runs on the
+    models in descending score order, where every gap in its upper triangle
+    is >= 0, so each nonzero sign is an edge from its row to its column and
+    the edges come out grouped by winner.
     """
     scores, stderrs = _checked(scores, stderrs, AlignmentError)
     if len(scores) < 1:
         raise AlignmentError("need at least one model")
     ids = _default_ids(len(scores), model_ids)
-    wins = [(a, np.nonzero(signs > 0)) for a, signs in _sign_blocks(scores, stderrs, cfg.critical_z)]
-    winners = np.concatenate([rows + a for a, (rows, _) in wins])
-    return PartialOrder(ids, winners, np.concatenate([losers for _, (_, losers) in wins]))
+    order = np.argsort(-scores, kind="stable")
+    winners, losers = [order[:0]], [order[:0]]
+    for a, signs in _sign_blocks(scores[order], stderrs[order], cfg.critical_z):
+        rows, cols = np.nonzero(signs)
+        winners.append(order[a:][rows])
+        losers.append(order[a + 1 :][cols])
+    return PartialOrder(ids, np.concatenate(winners), np.concatenate(losers))
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:
@@ -174,14 +188,20 @@ class _Frontier:
             to_models = np.array([at[m] for m in po.model_ids], dtype=np.intp)
             winners, losers = to_models[winners], to_models[losers]
         n = len(models)
-        self.succ = losers[np.argsort(winners)]
-        self.start = np.concatenate(([0], np.cumsum(np.bincount(winners, minlength=n))))
+        # the edges are grouped by winner (see PartialOrder): a group starts wherever the winner changes
+        heads = np.flatnonzero(np.diff(winners, prepend=-1))
+        owners = winners[heads]
+        if (np.bincount(owners, minlength=n) > 1).any():
+            raise AlignmentError("partial order edges must be grouped by winner")
+        start, stop = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        start[owners], stop[owners] = heads, np.append(heads[1:], len(winners))
+        self.succ, self.start, self.stop = losers, start.tolist(), stop.tolist()
         self.indeg = np.bincount(losers, minlength=n)
         self.available = set(np.flatnonzero(self.indeg == 0).tolist())
 
     def remove(self, k: int) -> None:
         self.available.discard(k)
-        succ = self.succ[self.start[k] : self.start[k + 1]]
+        succ = self.succ[self.start[k] : self.stop[k]]
         # edges are distinct, so no position repeats within one successor list
         indeg = self.indeg[succ] - 1
         self.indeg[succ] = indeg

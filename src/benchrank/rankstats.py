@@ -9,18 +9,18 @@ pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
 and without them it is tau-b at zero stderrs, bit for bit.
 
 The test runs in one kernel, ``_sign_blocks``, which also serves the
-partial orders of :mod:`~benchrank.alignment`: per benchmark, the M x M
-square of signs of s_i - s_j, 0 where the gap is not significant, yielded
-a block of model rows at a time so no array holds the signs of every pair.
-The square is antisymmetric, so each unordered pair appears twice.  Pairs
-are concordant when their signs agree; score gaps are never multiplied
-(the product can underflow).  The square has two readers:
+partial orders of :mod:`~benchrank.alignment`: per benchmark, the upper
+triangle of the M x M square of signs of s_i - s_j (i < j), 0 where the
+gap is not significant, yielded a block of model rows at a time so no
+array holds the signs of every pair.  Each unordered pair is tested once.
+Pairs are concordant when their signs agree; score gaps are never
+multiplied (the product can underflow).  The triangle has two readers:
 ``build_partial_order`` takes its edges, and ``_sign_gram`` makes every
 count that tau, tau-b and the z-test read.  (The alignment's crossings
 are an inversion count of its two rankings and read no signs.)  With S the
-B x M^2 signs, S S^T / 2 holds C - D for every benchmark pair (a, b), and
-its diagonal the number of pairs significant on each benchmark; taken on
-b, that is C + D + Tx.
+B x M(M-1)/2 signs, S S^T holds C - D for every benchmark pair (a, b),
+with no halving, and its diagonal the number of pairs significant on each
+benchmark; taken on b, that is C + D + Tx.
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -140,46 +140,57 @@ _PAIR_CHUNK = 1 << 13
 
 
 def _sign_blocks(scores, stderrs, critical_z: float):
-    """Yield ``(a, signs)`` over row blocks of the full M x M significance-sign square.
+    """Yield ``(a, signs)`` over row blocks of the upper triangle of the significance-sign square.
 
     Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give float
-    ``signs`` of shape (B, k, M) or (k, M) for models a..a+k-1: entry
-    [..., r, j] is the sign of d = s_(a+r) - s_j if |d| / sqrt(se_(a+r)^2 +
-    se_j^2) > critical_z, else 0.  ``critical_z`` is finite, so this one
-    comparison settles every edge case: |d| / 0 is inf for d != 0 and nan for
-    d == 0, an infinite gap is significant and an infinite variance is not.
-    Float subtraction is exactly antisymmetric and the denominator
-    symmetric, so the square is antisymmetric with a zero diagonal: each
-    unordered pair appears twice, with opposite signs.
+    ``signs`` of shape (B, k, M-a-1) or (k, M-a-1) for models a..a+k-1
+    against models a+1..M-1: entry [..., r, c] is the sign of
+    d = s_(a+r) - s_(a+1+c) if |d| / sqrt(se_(a+r)^2 + se_(a+1+c)^2) >
+    critical_z, else 0.  Entries whose model a+1+c is not after model a+r
+    (c < r) are 0, so each unordered pair i < j appears once.  The blocks
+    tile rows 0..M-2, each holding about ``_PAIR_CHUNK`` differences.
+    ``critical_z`` is finite, so this one comparison settles every edge
+    case: |d| / 0 is inf for d != 0 and nan for d == 0, an infinite gap is
+    significant and an infinite variance is not.
     """
-    block = max(1, _PAIR_CHUNK // max(1, scores.size))
+    m = scores.shape[-1]
+    nb = math.prod(scores.shape[:-1])
     with np.errstate(over="ignore"):
         var = stderrs * stderrs
-    for a in range(0, scores.shape[-1], block):
+    a = 0
+    while a < m - 1:
+        width = m - 1 - a
+        k = min(width, max(1, _PAIR_CHUNK // (nb * width)))
         # closed before the yield: errstate is a context variable and would also cover the consumer's code
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = scores[..., a : a + block, None] - scores[..., None, :]
-            denom = np.sqrt(var[..., a : a + block, None] + var[..., None, :])
-            significant = np.abs(d) / denom > critical_z
-        yield a, np.where(significant, np.sign(d), 0.0)
+            d = scores[..., a : a + k, None] - scores[..., None, a + 1 :]
+            q = np.add(var[..., a : a + k, None], var[..., None, a + 1 :])
+            np.sqrt(q, out=q)
+            np.divide(d, q, out=q)
+            np.abs(q, out=q)
+            significant = q > critical_z
+        # row r of the block starts the triangle at column c = r
+        significant[..., :k] &= np.triu(np.ones((k, k), dtype=bool))
+        yield a, np.copysign(significant, d, out=d)
+        a += k
 
 
 def _sign_gram(scores, stderrs, critical_z: float) -> np.ndarray:
-    """Halved S S^T between the rows of (B, M) ``scores``: C - D off the diagonal, n_sig on it.
+    """S S^T between the rows of (B, M) ``scores``: C - D off the diagonal, n_sig on it.
 
     S S^T is summed over the blocks of :func:`_sign_blocks`, which hold
-    every pair twice with opposite signs, so each entry is even and its half
-    is C - D.  A sign squared is 1 exactly when its pair is significant, so
-    the halved diagonal is n_sig, the number of significant pairs per row.
-    Every entry and partial sum is an integer below 2^53, exact in float64,
-    so the result is independent of the block size and of summation order.
+    each pair once, so no halving is needed.  A sign squared is 1 exactly
+    when its pair is significant, so the diagonal is n_sig, the number of
+    significant pairs per row.  Every entry and partial sum is an integer
+    below 2^53, exact in float64, so the result is independent of the block
+    size and of summation order.
     """
     nb = len(scores)
     gram = np.zeros((nb, nb))
     for _, signs in _sign_blocks(scores, stderrs, critical_z):
         flat = signs.reshape(nb, -1)
         gram += flat @ flat.T
-    return gram / 2
+    return gram
 
 
 def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -19,6 +19,10 @@ from benchrank.rankstats import SignificanceConfig
 from oracles import _oracle_significant, greedy_oracle
 
 CFG = SignificanceConfig()
+
+#: A ``_PAIR_CHUNK`` for which the sign kernel yields blocks of 1 < k < M-a-1 rows, so their entries
+#: below the diagonal must be masked; the default and 1 never do.
+STRADDLE_CHUNK = 37
 
 
 def oracle_partial_order(s, e, ids):
@@ -54,8 +58,9 @@ class TestBuildPartialOrder:
     def test_edges_respect_scores_and_significance(self, monkeypatch):
         rng = np.random.default_rng(17)
         sizes = [int(rng.integers(1, 8)) for _ in range(50)] + [250]
-        # at the default chunk 250 models span more than one block of the sign kernel; at 1, one model per block
-        for chunk, n in product((rankstats._PAIR_CHUNK, 1), sizes):
+        # at the default chunk 250 models span more than one block of the sign kernel; at 1, one model per
+        # block; at the straddling chunk, blocks of several rows with the diagonal inside the block
+        for chunk, n in product((rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK), sizes):
             monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
             s = rng.uniform(size=n)
             e = rng.uniform(0, 0.2, size=n)
@@ -82,6 +87,27 @@ class TestBuildPartialOrder:
         with pytest.raises(AlignmentError):
             build_partial_order([0.5], [0.1, 0.1], CFG)
 
+    def test_single_model_has_no_edges(self):
+        po = build_partial_order([0.5], [0.1], CFG)
+        for ends in (po.winners, po.losers):
+            assert ends.dtype == np.intp and ends.shape == (0,)
+
+    def test_two_models(self):
+        assert build_partial_order([0.5, 0.5], [0.0, 0.0], CFG).edges == frozenset()
+        assert build_partial_order([0.5, 0.7], [0.0, 0.0], CFG).edges == frozenset({(1, 0)})
+        assert build_partial_order([0.5, 0.7], [0.1, 0.1], CFG).edges == frozenset()
+
+    def test_edges_grouped_by_winner(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        for chunk in (rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK):
+            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
+            for n in [2, 5, 30, 120]:
+                s = np.round(rng.uniform(size=n), 2)
+                po = build_partial_order(s, rng.uniform(0, 0.05, size=n), CFG)
+                assert grouped_by_winner(po)
+            # the 120-model order has many winners, so the check is not vacuous
+            assert len(set(po.winners.tolist())) > 10
+
 
 class TestPartialOrder:
     def test_from_edges_rejects_unknown_model(self):
@@ -101,6 +127,25 @@ class TestPartialOrder:
             assert again.edges == po.edges
             assert again.model_ids == po.model_ids
 
+    def test_from_edges_groups_scrambled_pairs(self):
+        rng = np.random.default_rng(43)
+        ids = tuple(f"m{k}" for k in range(30))
+        edges = [(ids[a], ids[b]) for a in range(30) for b in range(a + 1, 30) if rng.random() < 0.3]
+        for _ in range(20):
+            scrambled = [edges[k] for k in rng.permutation(len(edges))]
+            po = PartialOrder.from_edges(ids, scrambled)
+            assert grouped_by_winner(po) and po.edges == frozenset(edges)
+
+    def test_split_winner_group_rejected(self):
+        # A's two edges are split by B's: the frontier reads one slice per winner, so this is refused
+        ids = ("A", "B", "C")
+        split = PartialOrder(ids, np.array([0, 1, 0], dtype=np.intp), np.array([1, 2, 2], dtype=np.intp))
+        scores = [0.9, 0.5, 0.1]
+        with pytest.raises(AlignmentError, match="grouped by winner"):
+            parallel_greedy_rank(ids, chain(ids), split, scores, scores)
+        with pytest.raises(AlignmentError, match="grouped by winner"):
+            parallel_greedy_rank(ids[::-1], split, chain(ids), scores[::-1], scores[::-1])
+
     def test_longer_cycle_detected(self):
         ids = ("A", "B", "C", "D")
         cyclic = PartialOrder.from_edges(ids, {("D", "A"), ("A", "B"), ("B", "C"), ("C", "A")})
@@ -118,6 +163,12 @@ class TestVanillaRanks:
 
     def test_single_model(self):
         assert list(vanilla_ranks([0.4])) == [1]
+
+
+def grouped_by_winner(po: PartialOrder) -> bool:
+    """Whether each winner's edges are contiguous: no winner heads two runs."""
+    runs = [winner for winner, _ in groupby(po.winners.tolist())]
+    return len(set(runs)) == len(runs)
 
 
 def chain(ids):

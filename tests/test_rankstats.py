@@ -1,13 +1,14 @@
 import ast
 import dataclasses
 import math
+from itertools import product
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from benchrank import rankstats
@@ -29,6 +30,10 @@ from benchrank.rankstats import (
 from oracles import _oracle_significant, tau_oracle, taub_oracle
 
 CFG = SignificanceConfig()
+
+#: A ``_PAIR_CHUNK`` for which the sign kernel yields blocks of 1 < k < M-a-1 rows on these tests'
+#: shapes, so their entries below the diagonal must be masked; the default and 1 never do.
+STRADDLE_CHUNK = 37
 
 distinct_floats = st.lists(
     st.floats(-100, 100), min_size=2, max_size=10, unique=True
@@ -162,25 +167,44 @@ def kernel_inputs(draw):
 
 
 class TestSignBlocks:
-    @given(kernel_inputs(), st.sampled_from([rankstats._PAIR_CHUNK, 1, 5]))
-    def test_square_is_antisymmetric(self, inputs, chunk):
+    @given(kernel_inputs(), st.sampled_from([rankstats._PAIR_CHUNK, 1, 5, STRADDLE_CHUNK]))
+    # always one case with blocks that straddle the diagonal, mixing ties, significant and insignificant gaps
+    @example((np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0]]), np.full((1, 9), 0.5), 1.0), STRADDLE_CHUNK)
+    def test_triangle_holds_each_pair_once(self, inputs, chunk):
         scores, stderrs, z = inputs
         with mock.patch.object(rankstats, "_PAIR_CHUNK", chunk), np.errstate(over="ignore"):
             blocks = list(rankstats._sign_blocks(scores, stderrs, z))
-        sizes = [s.shape[-2] for _, s in blocks]
-        assert [a for a, _ in blocks] == np.cumsum([0] + sizes)[:-1].tolist()
         m = scores.shape[-1]
-        square = np.concatenate([s for _, s in blocks], axis=-2) if blocks else np.zeros(scores.shape + (0,))
-        assert square.shape == scores.shape + (m,)
-        # the Gram's halving for tau, tau-b and the z-test relies on each pair appearing twice, with opposite signs
-        assert np.array_equal(square, -np.swapaxes(square, -1, -2))
-        assert not np.diagonal(square, axis1=-2, axis2=-1).any()
-        rows = np.atleast_2d(scores)
-        squares = square.reshape(rows.shape + (m,))
-        for s, e, signs in zip(rows.tolist(), np.atleast_2d(stderrs).tolist(), squares):
-            for i, j in np.ndindex(m, m):
-                significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
-                assert signs[i, j] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
+        sizes = [s.shape[-2] for _, s in blocks]
+        # the blocks tile rows 0..M-2, and block a holds columns a+1..M-1
+        assert [a for a, _ in blocks] == np.cumsum([0] + sizes)[:-1].tolist()
+        assert sum(sizes) == max(m - 1, 0)
+        for a, signs in blocks:
+            assert signs.shape == scores.shape[:-1] + (signs.shape[-2], m - a - 1)
+        rows, errs = np.atleast_2d(scores).tolist(), np.atleast_2d(stderrs).tolist()
+        for a, signs in blocks:
+            signs = signs.reshape((len(rows),) + signs.shape[-2:])
+            # the Gram's C - D without halving relies on each pair appearing once: 0 wherever column <= row
+            for (s, e, block), (r, c) in product(zip(rows, errs, signs), np.ndindex(signs.shape[1:])):
+                i, j = a + r, a + 1 + c
+                if j <= i:
+                    assert block[r, c] == 0.0
+                else:
+                    significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
+                    assert block[r, c] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
+
+    def test_fewest_models(self):
+        for shape in [(1,), (2, 1)]:
+            assert list(rankstats._sign_blocks(np.zeros(shape), np.zeros(shape), 1.0)) == []
+        (a, signs), = rankstats._sign_blocks(np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros((2, 2)), 1.0)
+        assert a == 0 and signs.tolist() == [[[0.0]], [[-1.0]]]
+        assert rankstats._sign_gram(np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros((2, 2)), 1.0).tolist() == [
+            [0.0, 0.0],
+            [0.0, 1.0],
+        ]
+        assert not significant_difference(0.5, 0.0, 0.5, 0.0, CFG)
+        assert significant_difference(0.5, 0.0, 0.6, 0.0, CFG)
+        assert significant_difference(0.6, 0.0, 0.5, 0.0, CFG)
 
     def test_only_z_test_in_the_package(self):
         """Every comparison against ``critical_z`` in the package sits in ``_sign_blocks``, and there is one."""
@@ -199,9 +223,10 @@ class TestSignBlocks:
         assert found == [("rankstats.py", "_sign_blocks")]
 
 
-@pytest.fixture(params=[rankstats._PAIR_CHUNK, 1], ids=["default-chunk", "chunk-1"])
+@pytest.fixture(params=[rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK], ids=["default-chunk", "chunk-1", "chunk-straddle"])
 def pair_chunk(request, monkeypatch):
-    """Run at the default block size, which holds these vectors in one block, and at one model per block."""
+    """Run at the default block size, which holds these vectors in one block, at one model per block,
+    and at blocks of several rows that end before the last column, so they straddle the diagonal."""
     monkeypatch.setattr(rankstats, "_PAIR_CHUNK", request.param)
 
 
@@ -349,8 +374,9 @@ class TestAgreementMatrix:
         rows = rng.uniform(size=(3, 7))
         tied = np.vstack([rows, rng.integers(0, 3, size=(2, 7)) / 3, np.full((1, 7), 0.5)])
         zeros = np.zeros_like(tied)
-        # the default chunk covers these rows in one step; a chunk of 1 takes one model per step
-        for chunk in (rankstats._PAIR_CHUNK, 1):
+        # the default chunk covers these rows in one step, a chunk of 1 takes one model per step,
+        # and the straddling chunk takes several rows per step, with the diagonal inside the block
+        for chunk in (rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK):
             monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
             assert_matches_taub_oracle(agreement_matrix(matrix_from_rows(rows), method="tau"), rows, zeros)
             assert_matches_taub_oracle(agreement_matrix(matrix_from_rows(tied), method="tau_b"), tied, zeros)
