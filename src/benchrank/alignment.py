@@ -43,47 +43,89 @@ The minimum is found exactly without scanning all |F1| * |F2| pairs:
   vanilla ranks in 1..n, that is the smallest integer key over F1, where a
   model's key is vanilla2 in A1 and vanilla2 + n in B1; and likewise for m2.
 
-Each step therefore costs O(|F1| + |F2|).  Partial orders are held as
-winner/loser index arrays with each winner's edges contiguous, so a
-frontier reads every model's successors as one slice between group
-bounds, with no sort.  ``build_partial_order`` meets that grouping by
-construction: it visits the upper triangle of the sign square in
-descending score order, where every significant pair is an edge from row
-to column, row by row.
+Each step therefore costs O(|F1| + |F2|) plus the edges it releases.
+
+A partial order is held as a threshold split.  Its models get
+coordinates 0..M-1, in descending oriented score for
+:func:`build_partial_order`, and row r's edges go only to later columns,
+which split into a prefix with no edge, a thin band whose columns are
+tested one by one, and a suffix, from column f_r on, that is all edges.
+In descending score order a row's gaps never shrink along the row.  So
+the z-test (:func:`~benchrank.rankstats._z_test`) with the column's
+variance replaced by the task's smallest variance fails up to a band
+start b_r and passes from it on, and with the largest variance likewise
+from f_r on.  A pair passing with the largest variance passes the real
+test, and one passing the real test passes with the smallest, because
+rounding of +, sqrt and / is monotone: the split is exact.  One
+vectorised bisection through the z-test finds b_r and f_r for all rows,
+and only the band pairs [b_r, f_r) take the real test.
+
+The frontier of a split order is a threshold plus band in-degrees.  A
+suffix blocks column j exactly when an unplaced row has f_r <= j, that
+is when j >= F, the smallest f_r over unplaced rows.  F only grows, and a
+pointer over the rows in f_r order keeps it current, so the frontier is
+the unplaced columns j < F whose band in-degree is 0, kept as Python
+integers with no array work per step.  A hand-built order
+(:meth:`PartialOrder.from_edges`) is the same structure with identity
+coordinates, every edge in the band and no suffix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .rankstats import SignificanceConfig, _checked, _sign_blocks
+from . import rankstats
+from .rankstats import SignificanceConfig, _checked, _variances, _z_test
 
 
 class AlignmentError(ValueError):
     """Inconsistent alignment input (mismatched model sets, cyclic graph)."""
 
 
-@dataclass(frozen=True, eq=False)
+class _Split(NamedTuple):
+    """A partial order's threshold split, in coordinates 0..M-1 (see the module docstring).
+
+    Coordinate c is model ``order[c]`` (a position in ``model_ids``).  Row c
+    beats every column from ``stop[c]`` on, and the band columns
+    ``band[start[c] : start[c + 1]]``, ascending and below ``stop[c]``.
+    """
+
+    order: np.ndarray
+    stop: np.ndarray
+    band: np.ndarray
+    start: np.ndarray
+
+
 class PartialOrder:
     """DAG over models: edge k means model ``winners[k]`` significantly beats ``losers[k]``.
 
     ``winners`` and ``losers`` are equal-length int arrays of positions in
     ``model_ids``, one entry per distinct edge, grouped by winner: the
     edges of one winner are contiguous (groups may come in any order).
-    :func:`build_partial_order` and :meth:`from_edges` meet this; the
-    aligner raises :class:`AlignmentError` on an order that does not.
-    Orders from :func:`build_partial_order` are acyclic by construction
-    since every edge points from a strictly higher oriented score to a
-    strictly lower one.
+    The aligner raises :class:`AlignmentError` on an order that is not.
+    :func:`build_partial_order` holds its order as a prefix/band/suffix
+    split per model (see the module docstring) and builds ``winners`` and
+    ``losers`` on first access, winners in descending score order (stable
+    on ties), each winner's losers in that order too.  Such orders are acyclic
+    by construction since every edge points from a strictly higher oriented
+    score to a strictly lower one.  An order built from edges, by
+    :meth:`from_edges` or directly, is the split with every edge in the band.
     """
 
-    model_ids: tuple[Hashable, ...]
-    winners: np.ndarray
-    losers: np.ndarray
+    def __init__(self, model_ids: tuple[Hashable, ...], winners: np.ndarray, losers: np.ndarray):
+        self.model_ids = model_ids
+        self.winners = winners
+        self.losers = losers
+
+    @classmethod
+    def _from_split(cls, model_ids: tuple[Hashable, ...], split: _Split) -> PartialOrder:
+        po = cls.__new__(cls)
+        po.model_ids, po._split = model_ids, split
+        return po
 
     @classmethod
     def from_edges(cls, model_ids: Sequence[Hashable], edges) -> PartialOrder:
@@ -97,6 +139,39 @@ class PartialOrder:
             ends.append((index[a], index[b]))
         ends = np.array(sorted(ends), dtype=np.intp).reshape(-1, 2)
         return cls(ids, ends[:, 0], ends[:, 1])
+
+    @cached_property
+    def _split(self) -> _Split:
+        """Identity coordinates, no suffix and every edge in the band; refuses split winner groups."""
+        n = len(self.model_ids)
+        winners = self.winners
+        owners = winners[np.flatnonzero(np.diff(winners, prepend=-1))]
+        if (np.bincount(owners, minlength=n) > 1).any():
+            raise AlignmentError("partial order edges must be grouped by winner")
+        start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(winners, minlength=n), out=start[1:])
+        band = self.losers[np.argsort(winners, kind="stable")]
+        return _Split(np.arange(n), np.full(n, n), band, start)
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(winners, losers) of a split order: row by row, each row's band columns and then its suffix."""
+        order, stop, band, start = self._split
+        n_band = np.diff(start)
+        counts = n_band + (len(order) - stop)
+        rows = np.repeat(np.arange(len(order)), counts)
+        at = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = at - n_band[rows] + stop[rows]
+        cols[at < n_band[rows]] = band
+        return order[rows], order[cols]
+
+    @cached_property
+    def winners(self) -> np.ndarray:
+        return self._ends[0]
+
+    @cached_property
+    def losers(self) -> np.ndarray:
+        return self._ends[1]
 
     @cached_property
     def edges(self) -> frozenset[tuple[Hashable, Hashable]]:
@@ -145,22 +220,54 @@ def build_partial_order(
 
     Scores must already be oriented (greater means better).  For every
     distinct model pair, a directed edge winner -> loser is added iff the
-    difference passes the two-sided z-test.  The sign kernel runs on the
-    models in descending score order, where every gap in its upper triangle
-    is >= 0, so each nonzero sign is an edge from its row to its column and
-    the edges come out grouped by winner.
+    difference passes the two-sided z-test.  The order is held as the
+    threshold split of the module docstring, with the models in descending
+    score order as coordinates; the band pairs take the z-test about
+    ``_PAIR_CHUNK`` pairs at a time.
     """
     scores, stderrs = _checked(scores, stderrs, AlignmentError)
     if len(scores) < 1:
         raise AlignmentError("need at least one model")
     ids = _default_ids(len(scores), model_ids)
     order = np.argsort(-scores, kind="stable")
-    winners, losers = [order[:0]], [order[:0]]
-    for a, signs in _sign_blocks(scores[order], stderrs[order], cfg.critical_z):
-        rows, cols = np.nonzero(signs)
-        winners.append(order[a:][rows])
-        losers.append(order[a + 1 :][cols])
-    return PartialOrder(ids, np.concatenate(winners), np.concatenate(losers))
+    s, var = scores[order], _variances(stderrs[order])
+    m, z = len(s), cfg.critical_z
+    first, stop = _thresholds(s, var, z)
+    # band pairs are numbered row by row; row r's numbers end at ends[r] as its columns end at stop[r]
+    ends = np.cumsum(stop - first)
+    shift, total, chunk = stop - ends, int(ends[-1]), rankstats._PAIR_CHUNK
+    band, counts = [order[:0]], np.zeros(m, dtype=np.intp)
+    for p in range(0, total, chunk):
+        at = np.arange(p, min(p + chunk, total))
+        rows = np.searchsorted(ends, at, side="right")
+        cols = at + shift[rows]
+        _, passed = _z_test(s[rows], s[cols], var[rows], var[cols], z)
+        band.append(cols[passed])
+        counts += np.bincount(rows[passed], minlength=m)
+    start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(counts, out=start[1:])
+    return PartialOrder._from_split(ids, _Split(order, stop, np.concatenate(band), start))
+
+
+def _thresholds(s, var, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band starts and suffix starts of the rows of descending scores ``s`` (see the module docstring).
+
+    Row r's band starts at the first column j > r whose pair passes the
+    z-test with var_j replaced by the smallest variance, and its suffix at
+    the first that passes with the largest; at len(s) where none does.
+    One bisection over all 2M (row, variance) pairs finds both.
+    """
+    m = len(s)
+    rows = np.tile(np.arange(m), 2)
+    other = np.repeat([var.min(), var.max()], m)
+    lo, hi = rows + 1, np.full(2 * m, m)
+    live = np.arange(2 * m)
+    while (live := live[lo[live] < hi[live]]).size:
+        mid = (lo[live] + hi[live]) // 2
+        _, passed = _z_test(s[rows[live]], s[mid], var[rows[live]], other[live], critical_z)
+        hi[live[passed]] = mid[passed]
+        lo[live[~passed]] = mid[~passed] + 1
+    return lo[:m], lo[m:]
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:
@@ -179,33 +286,52 @@ def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.nda
 
 
 class _Frontier:
-    """Zero-in-degree tracking for one partial order over positions in ``models``."""
+    """Zero-in-degree tracking for one partial order over positions in ``models``, on its threshold split.
+
+    ``available`` holds the models at unplaced coordinates below ``bound``,
+    the smallest suffix start of an unplaced row, with no band edge left
+    from an unplaced row.
+    """
 
     def __init__(self, po: PartialOrder, models: tuple[Hashable, ...]):
-        winners, losers = po.winners, po.losers
+        order, stop, band, start = po._split
         if po.model_ids != models:
             at = {m: k for k, m in enumerate(models)}
-            to_models = np.array([at[m] for m in po.model_ids], dtype=np.intp)
-            winners, losers = to_models[winners], to_models[losers]
+            order = np.array([at[m] for m in po.model_ids], dtype=np.intp)[order]
         n = len(models)
-        # the edges are grouped by winner (see PartialOrder): a group starts wherever the winner changes
-        heads = np.flatnonzero(np.diff(winners, prepend=-1))
-        owners = winners[heads]
-        if (np.bincount(owners, minlength=n) > 1).any():
-            raise AlignmentError("partial order edges must be grouped by winner")
-        start, stop = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-        start[owners], stop[owners] = heads, np.append(heads[1:], len(winners))
-        self.succ, self.start, self.stop = losers, start.tolist(), stop.tolist()
-        self.indeg = np.bincount(losers, minlength=n)
-        self.available = set(np.flatnonzero(self.indeg == 0).tolist())
+        self.pos = order.tolist()
+        self.coord = np.argsort(order).tolist()
+        self.stop, self.band, self.start = stop.tolist(), band.tolist(), start.tolist()
+        self.indeg = np.bincount(band, minlength=n).tolist()
+        self.placed = [False] * n
+        # rows by suffix start; rows before ``self.next`` in it are all placed
+        self.by_stop = np.argsort(stop, kind="stable").tolist() + [None]
+        self.next, self.bound = 0, 0
+        self.available: set[int] = set()
+        self._advance()
+
+    def _advance(self) -> None:
+        """Move ``bound`` to the smallest suffix start of an unplaced row, releasing the columns it passes."""
+        by_stop, placed, p = self.by_stop, self.placed, self.next
+        while by_stop[p] is not None and placed[by_stop[p]]:
+            p += 1
+        self.next = p
+        bound = len(placed) if by_stop[p] is None else self.stop[by_stop[p]]
+        # columns at or above the old bound were blocked, so none is placed yet
+        self.available.update(self.pos[c] for c in range(self.bound, bound) if not self.indeg[c])
+        self.bound = bound
 
     def remove(self, k: int) -> None:
         self.available.discard(k)
-        succ = self.succ[self.start[k] : self.stop[k]]
-        # edges are distinct, so no position repeats within one successor list
-        indeg = self.indeg[succ] - 1
-        self.indeg[succ] = indeg
-        self.available.update(succ[indeg == 0].tolist())
+        c = self.coord[k]
+        self.placed[c] = True
+        indeg, bound = self.indeg, self.bound
+        for j in self.band[self.start[c] : self.start[c + 1]]:
+            indeg[j] -= 1
+            if not indeg[j] and j < bound:
+                self.available.add(self.pos[j])
+        if self.by_stop[self.next] == c:
+            self._advance()
 
 
 def parallel_greedy_rank(

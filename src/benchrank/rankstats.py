@@ -8,19 +8,21 @@ pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
 ``kendall_tau`` is the plain (C - D) / (n(n-1)/2); it refuses exact ties,
 and without them it is tau-b at zero stderrs, bit for bit.
 
-The test runs in one kernel, ``_sign_blocks``, which also serves the
-partial orders of :mod:`~benchrank.alignment`: per benchmark, the upper
-triangle of the M x M square of signs of s_i - s_j (i < j), 0 where the
-gap is not significant, yielded a block of model rows at a time so no
-array holds the signs of every pair.  Each unordered pair is tested once.
-Pairs are concordant when their signs agree; score gaps are never
-multiplied (the product can underflow).  The triangle has two readers:
-``build_partial_order`` takes its edges, and ``_sign_gram`` makes every
-count that tau, tau-b and the z-test read.  (The alignment's crossings
-are an inversion count of its two rankings and read no signs.)  With S the
-B x M(M-1)/2 signs, S S^T holds C - D for every benchmark pair (a, b),
-with no halving, and its diagonal the number of pairs significant on each
-benchmark; taken on b, that is C + D + Tx.
+The test is one helper, ``_z_test``, and it has two callers.  The sign
+kernel ``_sign_blocks`` yields, per benchmark, the upper triangle of the
+M x M square of signs of s_i - s_j (i < j), 0 where the gap is not
+significant, a block of model rows at a time so no array holds the signs
+of every pair.  Each unordered pair is tested once.  Pairs are concordant
+when their signs agree; score gaps are never multiplied (the product can
+underflow).  ``_sign_gram`` reads the triangle and makes every count that
+tau, tau-b and ``significant_difference`` read.  With S the B x M(M-1)/2
+signs, S S^T holds C - D for every benchmark pair (a, b), with no
+halving, and its diagonal the number of pairs significant on each
+benchmark; taken on b, that is C + D + Tx.  The partial orders of
+:mod:`~benchrank.alignment` call ``_z_test`` directly: on the models in
+descending score order, to find each row's band and suffix thresholds
+and to test the band pairs between them.  (The alignment's crossings are
+an inversion count of its two rankings and read no signs.)
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -135,8 +137,38 @@ def _refuse_ties(rows, names, message: str) -> None:
 
 
 #: Score differences per block of :func:`_sign_blocks`, summed over every
-#: benchmark; it bounds the kernel's temporaries and the Gram matmul sizes.
+#: benchmark; it bounds the kernel's temporaries and the Gram matmul sizes,
+#: and the band pairs that one z-test call of ``build_partial_order`` takes.
 _PAIR_CHUNK = 1 << 13
+
+
+def _variances(stderrs) -> np.ndarray:
+    """``stderrs`` squared, as the z-test adds them; a stderr above about 1e154 gives an infinite variance."""
+    with np.errstate(over="ignore"):
+        return stderrs * stderrs
+
+
+def _z_test(s_a, s_b, var_a, var_b, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """The z-test, elementwise over broadcast arrays: the gap d = s_a - s_b and whether it is significant.
+
+    Significant means |d| / sqrt(var_a + var_b) > ``critical_z``, evaluated
+    in that order of float64 operations; this is the package's one
+    comparison against ``critical_z``.  ``critical_z`` is finite, so it
+    settles every edge case: |d| / 0 is inf for d != 0 and nan for d == 0,
+    an infinite gap is significant and an infinite variance is not.
+    ``var_a + var_b`` must broadcast to an array, since the test works in
+    place on it.  Each of +, sqrt and / rounds monotonically, so for
+    d >= 0 the outcome never turns from significant to not as d grows or
+    as a variance shrinks.
+    """
+    # no warnings: overflow to inf and the 0 / 0 = nan above are meant
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.subtract(s_a, s_b)
+        q = np.add(var_a, var_b)
+        np.sqrt(q, out=q)
+        np.divide(d, q, out=q)
+        np.abs(q, out=q)
+        return d, q > critical_z
 
 
 def _sign_blocks(scores, stderrs, critical_z: float):
@@ -148,27 +180,18 @@ def _sign_blocks(scores, stderrs, critical_z: float):
     d = s_(a+r) - s_(a+1+c) if |d| / sqrt(se_(a+r)^2 + se_(a+1+c)^2) >
     critical_z, else 0.  Entries whose model a+1+c is not after model a+r
     (c < r) are 0, so each unordered pair i < j appears once.  The blocks
-    tile rows 0..M-2, each holding about ``_PAIR_CHUNK`` differences.
-    ``critical_z`` is finite, so this one comparison settles every edge
-    case: |d| / 0 is inf for d != 0 and nan for d == 0, an infinite gap is
-    significant and an infinite variance is not.
+    tile rows 0..M-2, each holding about ``_PAIR_CHUNK`` differences, and
+    each block is one call of :func:`_z_test`.
     """
     m = scores.shape[-1]
     nb = math.prod(scores.shape[:-1])
-    with np.errstate(over="ignore"):
-        var = stderrs * stderrs
+    var = _variances(stderrs)
     a = 0
     while a < m - 1:
         width = m - 1 - a
         k = min(width, max(1, _PAIR_CHUNK // (nb * width)))
-        # closed before the yield: errstate is a context variable and would also cover the consumer's code
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = scores[..., a : a + k, None] - scores[..., None, a + 1 :]
-            q = np.add(var[..., a : a + k, None], var[..., None, a + 1 :])
-            np.sqrt(q, out=q)
-            np.divide(d, q, out=q)
-            np.abs(q, out=q)
-            significant = q > critical_z
+        rows, cols = np.s_[..., a : a + k, None], np.s_[..., None, a + 1 :]
+        d, significant = _z_test(scores[rows], scores[cols], var[rows], var[cols], critical_z)
         # row r of the block starts the triangle at column c = r
         significant[..., :k] &= np.triu(np.ones((k, k), dtype=bool))
         yield a, np.copysign(significant, d, out=d)

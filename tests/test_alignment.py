@@ -109,6 +109,67 @@ class TestBuildPartialOrder:
             assert len(set(po.winners.tolist())) > 10
 
 
+@pytest.fixture(params=[rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK], ids=["default-chunk", "chunk-1", "chunk-straddle"])
+def pair_chunk(request, monkeypatch):
+    """Test band pairs in one block, one pair per block, and in blocks that end inside a row."""
+    monkeypatch.setattr(rankstats, "_PAIR_CHUNK", request.param)
+
+
+def split_cases():
+    """(scores, stderrs) at each edge case of the z-test that the threshold split must meet exactly."""
+    rng = np.random.default_rng(47)
+    stderr_kinds = (
+        np.zeros,  # 0 / 0 = nan at every tie
+        lambda n: np.full(n, 1e-300),  # the variance underflows to 0
+        lambda n: np.full(n, 1e200),  # the variance overflows to inf
+        lambda n: rng.choice([0.0, 1e-300, 1e200, 0.01, 0.05, 0.2], size=n),
+        lambda n: rng.uniform(0.0, 0.2, size=n),
+    )
+    for n in (1, 2, 3, 9, 40):
+        for draw in stderr_kinds:
+            ties = np.round(rng.uniform(size=n), 1)
+            # gaps between -1.5e308 and 1.5e308 overflow to inf
+            huge = rng.choice([-1.5e308, 1.5e308, 0.0, 0.5], size=n)
+            for s in (ties, rng.uniform(size=n), huge):
+                yield s, draw(n)
+
+
+def oracle_ends(s, e):
+    """The edges as (winner, loser) positions, winners in descending score order and each winner's
+    losers in descending score order too, from the oracle's z-test on every pair."""
+    order = np.argsort(-np.asarray(s), kind="stable").tolist()
+    s, e = list(map(float, s)), list(map(float, e))
+    return [
+        (order[r], order[c])
+        for r in range(len(s))
+        for c in range(r + 1, len(s))
+        if _oracle_significant(s[order[r]], e[order[r]], s[order[c]], e[order[c]], CFG.critical_z)
+    ]
+
+
+class TestThresholdSplit:
+    def test_edges_match_oracle_at_edge_cases(self, pair_chunk):
+        for s, e in split_cases():
+            po = build_partial_order(s, e, CFG)
+            ends = oracle_ends(s, e)
+            assert list(zip(po.winners.tolist(), po.losers.tolist())) == ends
+            assert po.winners.dtype == po.losers.dtype == np.intp
+
+    def test_suffix_plus_band_is_each_rows_edge_count(self, pair_chunk):
+        rng = np.random.default_rng(59)
+        cases = list(split_cases()) + [(rng.uniform(size=300), rng.uniform(0.0, 0.05, size=300))]
+        for s, e in cases:
+            order, stop, band, start = build_partial_order(s, e, CFG)._split
+            n = len(s)
+            per_row = np.bincount([w for w, _ in oracle_ends(s, e)], minlength=n)[order]
+            assert ((n - stop) + np.diff(start)).tolist() == per_row.tolist()
+            # a row's band columns lie after it and before its suffix
+            rows = np.repeat(np.arange(n), np.diff(start))
+            assert ((rows < band) & (band < stop[rows])).all()
+        # the last case has both suffix and band edges, so the split is not vacuous
+        assert (stop < n).any() and 0 < len(band) < (n - stop).sum()
+
+
 class TestPartialOrder:
     def test_from_edges_rejects_unknown_model(self):
         with pytest.raises(AlignmentError, match="unknown model"):
@@ -296,11 +357,10 @@ class TestCrossingCount:
     def test_adjacent_swap(self):
         assert crossing_count(self.make("ABC", "BAC")) == 1
 
-    def test_matches_brute_force(self, monkeypatch):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
         sizes = [int(rng.integers(0, 12)) for _ in range(30)] + [300]
-        for chunk, n in product((rankstats._PAIR_CHUNK, 1), sizes):
-            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
+        for n in sizes * 2:
             order1 = [f"m{k}" for k in range(n)]
             ar = self.make(order1, [order1[k] for k in rng.permutation(n)])
             expected = sum(
@@ -428,3 +488,38 @@ class TestMatchesGreedyOracle:
         expected = (("A", "B"), ("A", "B"))
         assert greedy_oracle(ids, g, g, s1, s2) == expected
         assert parallel_greedy_rank(ids, g, g, s1, s2) == expected
+
+
+class TestGreedyCoverage:
+    """More shapes for the greedy, each against the oracle's scan of every frontier pair."""
+
+    def test_leaderboard_shape(self):
+        # 600 models with binomial scores on about 100 items, as on a noisy leaderboard: most pairs are
+        # suffix edges, a thin band needs the real test, and frontiers stay wide
+        rng = np.random.default_rng(53)
+        n, items = 600, 100
+        skill = rng.normal(size=n)
+        tasks = []
+        for shift in (0.0, 0.3):
+            p = 1.0 / (1.0 + np.exp(-(skill + rng.normal(0.0, 0.5, n) + shift)))
+            s = rng.binomial(items, p) / items
+            tasks += [s, np.sqrt(s * (1.0 - s) / items)]
+        s1, e1, s2, e2 = tasks
+        ids = tuple(f"m{k:03d}" for k in rng.permutation(n))
+        ar = rank_models(s1, e1, s2, e2, CFG, ids)
+        expected = greedy_oracle(ids, oracle_partial_order(s1, e1, ids), oracle_partial_order(s2, e2, ids), s1, s2)
+        assert (ar.order1, ar.order2) == expected
+        assert crossing_count(ar) > 0
+
+    def test_orders_list_models_in_their_own_orders(self):
+        # g1, g2 and the model list each hold the models in a different order
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            n = int(rng.integers(1, 61))
+            s1, e1, s2, e2, ids = random_case(rng, n)
+            p1, p2, p3 = (rng.permutation(n) for _ in range(3))
+            g1 = build_partial_order(s1[p1], e1[p1], CFG, [ids[k] for k in p1])
+            g2 = build_partial_order(s2[p2], e2[p2], CFG, [ids[k] for k in p2])
+            models = tuple(ids[k] for k in p3)
+            got = parallel_greedy_rank(models, g1, g2, s1[p3], s2[p3])
+            assert got == greedy_oracle(models, g1, g2, s1[p3], s2[p3])

@@ -207,7 +207,7 @@ class TestSignBlocks:
         assert significant_difference(0.6, 0.0, 0.5, 0.0, CFG)
 
     def test_only_z_test_in_the_package(self):
-        """Every comparison against ``critical_z`` in the package sits in ``_sign_blocks``, and there is one."""
+        """Every comparison against ``critical_z`` in the package sits in ``_z_test``, and there is one."""
         found = []
         for path in sorted(Path(rankstats.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -220,7 +220,7 @@ class TestSignBlocks:
                     while scope in parents and not isinstance(scope, ast.FunctionDef):
                         scope = parents[scope]
                     found.append((path.name, getattr(scope, "name", None)))
-        assert found == [("rankstats.py", "_sign_blocks")]
+        assert found == [("rankstats.py", "_z_test")]
 
 
 @pytest.fixture(params=[rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK], ids=["default-chunk", "chunk-1", "chunk-straddle"])
