@@ -12,8 +12,9 @@ skipped (run manifests are embedded as ``#`` comments).  So the writer
 raises ``ValueError`` for a benchmark id that starts with ``#`` and for any
 id holding a character ``str.splitlines`` breaks on; use ``.json`` for those.
 A file whose kept lines hold no ``"`` and pass every check is parsed column
-by column; any other is read row by row, by the one reader that names the
-line of an error.  The CLI reads each input file once.
+by column, stripping or parsing each distinct raw id, direction and ``n``
+once; any other is read row by row, by the one reader that names the line
+of an error.  The CLI reads each input file once.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -222,6 +223,8 @@ def _score_columns(text: str) -> tuple | None:
     """What :func:`_score_rows` returns, parsed column by column; ``None`` unless every row is clean.
 
     Clean rows hold no quote (so commas split them as ``csv.reader`` does) and pass every check there.
+    Each distinct raw field is stripped or parsed once; numbers are parsed unstripped, since ``float()`` and
+    ``int()`` take 25 of ``str.strip``'s 29 pads and refuse ``'\\x1c'``-``'\\x1f'``, so those fall back.
     """
     lines = [line for line in text.splitlines() if line.strip() and line[0] != "#"]  # the lines _csv_rows keeps
     width = len(SCORE_CSV_HEADER)
@@ -231,27 +234,28 @@ def _score_columns(text: str) -> tuple | None:
         return None  # a bad header, or a line (and so maybe a field) longer than csv.reader allows
     fields = ",".join(lines[1:]).split(",")
     del lines
-    b_col, m_col, s_col, e_col, n_col, d_col = (list(map(str.strip, fields[k::width])) for k in range(width))
+    b_col, m_col, s_col, e_col, n_col, d_col = (fields[k::width] for k in range(width))
     rows = len(b_col)
+    b_at, m_at = {}, {}  # stripped id -> index, in first-seen order; b_of and m_of map each raw id to it
+    b_of = {raw: b_at.setdefault(raw.strip(), len(b_at)) for raw in dict.fromkeys(b_col)}
+    m_of = {raw: m_at.setdefault(raw.strip(), len(m_at)) for raw in dict.fromkeys(m_col)}
     try:
-        n_of = {raw: int(raw) if raw else None for raw in dict.fromkeys(n_col)}
-        values = [list(map(float, s_col)), list(map(float, e_col))]
+        n_of = {raw: int(raw) if raw.strip() else None for raw in dict.fromkeys(n_col)}
+        values = np.array([s_col, e_col], dtype=float)
     except ValueError:
         return None
-    # one (id, direction, n) per benchmark iff every row agrees with its benchmark's first
-    heads = dict.fromkeys(zip(b_col, d_col, map(n_of.__getitem__, n_col)))
-    b_at = {b: i for i, b in enumerate(dict.fromkeys(b_col))}
-    m_at = {mod: j for j, mod in enumerate(dict.fromkeys(m_col))}
+    # one (benchmark, direction, n) per benchmark iff every row agrees with its benchmark's first
+    heads = {(b_of[b], d.strip(), n_of[n]) for b, d, n in dict.fromkeys(zip(b_col, d_col, n_col))}
     valid = all(d in DIRECTIONS and (n is None or n >= 1) for _, d, n in heads)
     if not valid or len(b_at) != len(heads) or len(b_at) * len(m_at) != rows:
         return None
-    cell = np.fromiter(map(b_at.__getitem__, b_col), np.intp, rows) * len(m_at)
-    cell += np.fromiter(map(m_at.__getitem__, m_col), np.intp, rows)
+    cell = np.fromiter(map(b_of.__getitem__, b_col), np.intp, rows) * len(m_at)
+    cell += np.fromiter(map(m_of.__getitem__, m_col), np.intp, rows)
     if (np.bincount(cell, minlength=rows) != 1).any():  # a duplicate, and so a missing cell
         return None
     matrices = np.empty((2, rows))
     matrices[:, cell] = values
-    _, directions, n_items = zip(*heads)
+    _, directions, n_items = zip(*sorted(heads))  # one triple per benchmark index, so the sort compares only those
     return b_at, m_at, *matrices.reshape(2, len(b_at), len(m_at)), n_items, directions
 
 

@@ -315,7 +315,28 @@ TRICKY_CSVS = {  # each a data-row body under SCORES_CSV's header; the per-row l
     "conflicting-n": "mnli,A,0.61,0.01,10,higher\nmnli,B,0.72,0.01,11,higher\n",
     "conflicting-direction": "mnli,A,0.61,0.01,,higher\nmnli,B,0.72,0.01,,lower\n",
     "underscored-and-padded-numbers": "mnli,A,1_0, 0.01 ,\t7,higher\nmnli,B,-0,0.01,7 ,lower \n",
+    "raw-variants-of-one-benchmark": ("mnli,A,0.61,0.01,10,higher\nmnli,B,0.72,0.01,010, higher\n"
+                                      "mnli,C,0.5,0.01,1_0,higher\nmnli,D,0.4,0.01, 10\t, higher\n"),
 }
+
+#: the characters str.strip removes; float() and int() take all but '\x1c'..'\x1f' as padding
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+def _accepts(kind: type, pad: str, core: str) -> bool:
+    try:
+        return kind(pad + core + pad) == kind(core)
+    except ValueError:
+        return False
+
+
+def _refuse_per_row(monkeypatch):
+    """Make any fall back to the per-row loop fail the test."""
+
+    def per_row_loop(*args):
+        raise AssertionError("a clean file fell back to the per-row loop")
+
+    monkeypatch.setattr(io, "_score_rows", per_row_loop)
 
 
 class TestColumnarLoader:
@@ -394,6 +415,70 @@ class TestColumnarLoader:
 
         monkeypatch.setattr(io, "_score_rows", per_row_loop)
         assert _outcome(lambda: load_scores(p)) == want
+
+    def test_float_and_int_padding_is_a_subset_of_strip(self):
+        # the bulk path strips ids and directions but hands numbers to float()/int() unstripped; scanning
+        # the Basic Multilingual Plane, which holds every str.isspace character, keeps this test under a second
+        bmp = (c for c in map(chr, range(0x10000)) if not c.isdecimal())
+        padding = [c for c in bmp if _accepts(float, c, "1.5") or _accepts(int, c, "17")]
+        assert padding and all(c.isspace() for c in padding)
+        assert len(SPACES) == 29 and all(c < "\U00010000" for c in SPACES)
+        assert [c for c in SPACES if c not in padding] == ["\x1c", "\x1d", "\x1e", "\x1f"]
+
+    @pytest.mark.parametrize("pad", SPACES, ids=[f"U+{ord(c):04X}" for c in SPACES])
+    def test_padded_fields_load_as_the_per_row_loop_reads_them(self, tmp_path, monkeypatch, pad):
+        lines = SCORES_CSV.splitlines()
+        p = tmp_path / "s.csv"
+        for i in (1, 3):  # a row with n and one without
+            for k, core in enumerate(lines[i].split(",")):
+                parse = {2: float, 3: float, 4: int}.get(k)
+                # a line-breaking pad may split the row, and then only the outcomes must agree
+                bulk = "".join(pad.splitlines()) == pad and (parse is None or not core or _accepts(parse, pad, core))
+                for padded in (pad + core, core + pad, pad + core + pad):
+                    fields = lines[i].split(",")
+                    fields[k] = padded
+                    p.write_text("\n".join(lines[:i] + [",".join(fields)] + lines[i + 1 :]) + "\n", encoding="utf-8")
+                    want = _outcome(lambda: _per_row(p))
+                    with monkeypatch.context() as patch:
+                        if bulk:
+                            _refuse_per_row(patch)
+                        assert _outcome(lambda: load_scores(p)) == want, (i, k, padded)
+
+    @pytest.mark.parametrize("with_manifest", [False, True], ids=["plain", "simulate-manifest"])
+    def test_leaderboard_shaped_file_takes_the_bulk_path(self, tmp_path, monkeypatch, with_manifest):
+        rng = np.random.default_rng(7)
+        nb, nm = 16, 600
+        m = make_score_matrix(
+            [f"task{i:02d}" for i in range(nb)],
+            [f"m{j:04d}" for j in range(nm)],
+            rng.random((nb, nm)),
+            rng.random((nb, nm)) / 20,
+            n_items=[int(n) for n in rng.integers(80, 121, nb - 2)] + [None, None],
+            direction=["higher"] * (nb - 2) + ["lower"] * 2,
+        )
+        manifest = None
+        if with_manifest:
+            (tmp_path / "c.json").write_text("{}")
+            manifest = RunManifest.build("simulate", {"config": tmp_path / "c.json"}, {"seed": 3}, "0.1.0")
+        lines = render_scores_csv(m, manifest).splitlines()
+        header_at = lines.index(",".join(SCORE_CSV_HEADER)) + 1
+        rows = lines[header_at:]
+        p = tmp_path / "s.csv"
+        p.write_text("\n".join(lines[:header_at] + [rows[k] for k in rng.permutation(len(rows))]) + "\n")
+        want = _outcome(lambda: _per_row(p))
+        _refuse_per_row(monkeypatch)
+        assert _outcome(lambda: load_scores(p)) == want
+
+    def test_numpy_parses_strings_as_float_does(self):
+        # the bulk path parses scores and stderrs with np.array(..., dtype=float) in place of float()
+        for raw in ["1_0", "١٢", "-0", "1e400", "nan", " 0.5　", "0x10", "1__0", "\x1c1", "-nan", "-inf", *MUTANT_FIELDS]:
+            try:
+                want = np.array([float(raw)]).tobytes()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    np.array([raw], dtype=float)
+            else:
+                assert np.array([raw], dtype=float).tobytes() == want, raw
 
     @pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "over-limit"])
     def test_field_at_and_over_the_csv_field_size_limit(self, tmp_path, over):
