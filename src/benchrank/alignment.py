@@ -101,35 +101,25 @@ class _Split(NamedTuple):
 
 
 class PartialOrder:
-    """DAG over models: edge k means model ``winners[k]`` significantly beats ``losers[k]``.
+    """DAG over models, held as a threshold split over positions in ``model_ids`` (see the module docstring).
 
-    ``winners`` and ``losers`` are equal-length int arrays of positions in
-    ``model_ids``, one entry per distinct edge, grouped by winner: the
-    edges of one winner are contiguous (groups may come in any order).
-    The aligner raises :class:`AlignmentError` on an order that is not.
-    :func:`build_partial_order` holds its order as a prefix/band/suffix
-    split per model (see the module docstring) and builds ``winners`` and
-    ``losers`` on first access, winners in descending score order (stable
-    on ties), each winner's losers in that order too.  Such orders are acyclic
-    by construction since every edge points from a strictly higher oriented
-    score to a strictly lower one.  An order built from edges, by
-    :meth:`from_edges` or directly, is the split with every edge in the band.
+    Build orders with :func:`build_partial_order`, whose coordinates are the
+    models in descending oriented score and whose orders are acyclic by
+    construction, since every edge points from a strictly higher oriented
+    score to a strictly lower one; or with :meth:`from_edges`, whose
+    coordinates are the identity and whose edges all lie in the band.
+    Edge k means model ``winners[k]`` significantly beats ``losers[k]``;
+    both arrays are built on first access, row by row in coordinate order,
+    each row's band columns and then its suffix.
     """
 
-    def __init__(self, model_ids: tuple[Hashable, ...], winners: np.ndarray, losers: np.ndarray):
+    def __init__(self, model_ids: tuple[Hashable, ...], split: _Split):
         self.model_ids = model_ids
-        self.winners = winners
-        self.losers = losers
-
-    @classmethod
-    def _from_split(cls, model_ids: tuple[Hashable, ...], split: _Split) -> PartialOrder:
-        po = cls.__new__(cls)
-        po.model_ids, po._split = model_ids, split
-        return po
+        self._split = split
 
     @classmethod
     def from_edges(cls, model_ids: Sequence[Hashable], edges) -> PartialOrder:
-        """Order from (winner id, loser id) pairs, for hand-built graphs; sorted, so grouped by winner."""
+        """Order from (winner id, loser id) pairs, for hand-built graphs."""
         ids = _default_ids(len(model_ids), model_ids)
         index = {m: k for k, m in enumerate(ids)}
         ends = []
@@ -138,20 +128,10 @@ class PartialOrder:
                 raise AlignmentError(f"edge ({a!r}, {b!r}) references unknown model")
             ends.append((index[a], index[b]))
         ends = np.array(sorted(ends), dtype=np.intp).reshape(-1, 2)
-        return cls(ids, ends[:, 0], ends[:, 1])
-
-    @cached_property
-    def _split(self) -> _Split:
-        """Identity coordinates, no suffix and every edge in the band; refuses split winner groups."""
-        n = len(self.model_ids)
-        winners = self.winners
-        owners = winners[np.flatnonzero(np.diff(winners, prepend=-1))]
-        if (np.bincount(owners, minlength=n) > 1).any():
-            raise AlignmentError("partial order edges must be grouped by winner")
+        n = len(ids)
         start = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(winners, minlength=n), out=start[1:])
-        band = self.losers[np.argsort(winners, kind="stable")]
-        return _Split(np.arange(n), np.full(n, n), band, start)
+        np.cumsum(np.bincount(ends[:, 0], minlength=n), out=start[1:])
+        return cls(ids, _Split(np.arange(n), np.full(n, n), ends[:, 1], start))
 
     @cached_property
     def _ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +226,7 @@ def build_partial_order(
         counts += np.bincount(rows[passed], minlength=m)
     start = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(counts, out=start[1:])
-    return PartialOrder._from_split(ids, _Split(order, stop, np.concatenate(band), start))
+    return PartialOrder(ids, _Split(order, stop, np.concatenate(band), start))
 
 
 def _thresholds(s, var, critical_z: float) -> tuple[np.ndarray, np.ndarray]:

@@ -196,16 +196,10 @@ class TestPartialOrder:
             scrambled = [edges[k] for k in rng.permutation(len(edges))]
             po = PartialOrder.from_edges(ids, scrambled)
             assert grouped_by_winner(po) and po.edges == frozenset(edges)
-
-    def test_split_winner_group_rejected(self):
-        # A's two edges are split by B's: the frontier reads one slice per winner, so this is refused
-        ids = ("A", "B", "C")
-        split = PartialOrder(ids, np.array([0, 1, 0], dtype=np.intp), np.array([1, 2, 2], dtype=np.intp))
-        scores = [0.9, 0.5, 0.1]
-        with pytest.raises(AlignmentError, match="grouped by winner"):
-            parallel_greedy_rank(ids, chain(ids), split, scores, scores)
-        with pytest.raises(AlignmentError, match="grouped by winner"):
-            parallel_greedy_rank(ids[::-1], split, chain(ids), scores[::-1], scores[::-1])
+            pairs = sorted((ids.index(a), ids.index(b)) for a, b in edges)
+            assert list(zip(po.winners.tolist(), po.losers.tolist())) == pairs
+            order, stop = po._split[:2]
+            assert order.tolist() == list(range(30)) and stop.tolist() == [30] * 30
 
     def test_longer_cycle_detected(self):
         ids = ("A", "B", "C", "D")
@@ -523,3 +517,34 @@ class TestGreedyCoverage:
             models = tuple(ids[k] for k in p3)
             got = parallel_greedy_rank(models, g1, g2, s1[p3], s2[p3])
             assert got == greedy_oracle(models, g1, g2, s1[p3], s2[p3])
+
+
+def leaderboard_case(rng, n=600, items=100):
+    """Two tasks of binomial scores on about ``items`` items over ``n`` models, with their stderrs and ids."""
+    skill = rng.normal(size=n)
+    tasks = []
+    for shift in (0.0, 0.3):
+        p = 1.0 / (1.0 + np.exp(-(skill + rng.normal(0.0, 0.5, n) + shift)))
+        s = rng.binomial(items, p) / items
+        tasks += [s, np.sqrt(s * (1.0 - s) / items)]
+    return (*tasks, tuple(f"m{k:03d}" for k in rng.permutation(n)))
+
+
+class TestSplitForms:
+    def test_split_and_its_edges_align_alike(self, pair_chunk):
+        # a score-built order is mostly suffix; the same order rebuilt from its edges is all band,
+        # in identity coordinates, so the frontier must treat the two forms alike
+        rng = np.random.default_rng(67)
+        cases = [leaderboard_case(rng) for _ in range(2)]
+        cases += [random_case(rng, int(rng.integers(1, 61))) for _ in range(100)]
+        suffix_edges = 0
+        for s1, e1, s2, e2, ids in cases:
+            g1 = build_partial_order(s1, e1, CFG, ids)
+            g2 = build_partial_order(s2, e2, CFG, ids)
+            h1, h2 = (PartialOrder.from_edges(ids, g.edges) for g in (g1, g2))
+            perm = rng.permutation(len(ids))
+            models = tuple(ids[k] for k in perm)
+            got = parallel_greedy_rank(models, g1, g2, s1[perm], s2[perm])
+            assert got == parallel_greedy_rank(models, h1, h2, s1[perm], s2[perm])
+            suffix_edges += int((len(ids) - g1._split.stop).sum())
+        assert suffix_edges > 0
