@@ -24,6 +24,7 @@ identical inputs and flags produce identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io as _stdio
 import json
@@ -382,8 +383,58 @@ def load_benchmark_categories(path: str | Path) -> list[BenchmarkRecord]:
 
 
 def render_artifact(payload: dict) -> str:
-    """Artifact text; a NaN or infinite float raises ``ValueError`` instead of writing invalid JSON."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Artifact text: byte for byte what ``json.dumps`` writes at ``indent=2`` and ``allow_nan=False``, plus a newline.
+
+    Any ``indent`` sends ``json.dumps`` through its pure-Python encoder, so
+    this emitter walks only the containers that hold other containers.  Every
+    other dict, list or tuple, a container of scalars, is encoded by one call
+    of the stdlib's C encoder, whose item separator is a comma, a newline and
+    the indent of the container's items.  An encoded JSON string never holds
+    a raw newline, so those separators are the only line breaks between the
+    brackets, and each item sits on its own line as ``indent=2`` lays it out.
+    Scalars and keys are encoded by the stdlib too, so a NaN or infinite float
+    raises ``ValueError`` ("... not JSON compliant") instead of writing
+    invalid JSON, and a value or key ``json.dumps`` refuses raises
+    ``TypeError``.  The payload must be a tree: a container that holds itself
+    recurses without end.
+    """
+    return _emit(payload, 0) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encoder(depth: int):
+    """``encode`` of a container of scalars at nesting ``depth``: one item per line, indented one level deeper."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _emit(value: dict | list | tuple, depth: int) -> str:
+    """``value`` as ``json.dumps`` lays it out at ``indent=2`` and nesting ``depth``, without a trailing newline."""
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    encode = _encoder(depth)
+    items = value.values() if opening == "{" else value
+    if any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
+        items = [_emit(v, depth + 1) if isinstance(v, _CONTAINERS) else encode(v) for v in items]
+        if opening == "{":
+            items = [f"{_key(k, encode)}: {v}" for k, v in zip(value, items)]
+        body = ("," + inner).join(items)
+    else:
+        body = encode(value)[1:-1]
+    return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
+
+
+def _key(key, encode) -> str:
+    """A dict key as JSON text; a non-str key is converted first, as ``json.dumps`` converts it."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:  # bool is an int
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = encode(key)
+    return encode(key)
 
 
 def load_artifact(path: str | Path) -> dict:

@@ -290,3 +290,8 @@ def render_scores_csv_oracle(m: ScoreMatrix, manifest: RunManifest | None = None
         for j, mod in enumerate(m.model_ids):
             writer.writerow([b, mod, repr(float(m.scores[i, j])), repr(float(m.stderrs[i, j])), n, m.direction[i]])
     return buf.getvalue()
+
+
+def json_artifact(payload) -> str:
+    """Artifact text as the stdlib lays it out: ``json.dumps`` at ``indent=2``, NaN and infinities refused."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

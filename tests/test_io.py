@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from benchrank.io import (
     validate_artifact,
 )
 from benchrank.lowrank import compute_flops
-from oracles import render_scores_csv_oracle
+from oracles import json_artifact, render_scores_csv_oracle
 
 SCORES_CSV = """benchmark,model,score,stderr,n,direction
 mnli,A,0.61,0.01,1000,higher
@@ -521,6 +522,59 @@ class TestRenderScoresCsv:
         )
         manifest = data.draw(st.sampled_from([None, RunManifest("simulate", "0.1.0", {}, {"seed": 1, "out": 'a,"b"'})]))
         assert render_scores_csv(m, manifest) == render_scores_csv_oracle(m, manifest)
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and lone surrogates
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=4) | st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "naïve", "\u2028", "\ud800", "\udfff", "\U0001f600", 'a"\\b']
+)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | _FLOATS | _TEXT
+_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+
+
+def _containers(children):
+    lists, dicts = st.lists(children, max_size=4), st.dictionaries(_KEYS, children, max_size=4)
+    return lists | lists.map(tuple) | dicts | dicts.map(OrderedDict)  # json.dumps lays out a subclass as its base
+
+
+_TREES = _containers(st.recursive(_SCALARS, _containers, max_leaves=24))
+
+
+class TestRenderArtifact:
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_matches_json_dumps_indent_2(self, payload):
+        assert render_artifact(payload) == json_artifact(payload)
+
+    # a value as an item of a container of scalars and of a container of containers, and as a key of each
+    VALUE_PLACES = [lambda v: {"a": [1.0, v]}, lambda v: {"a": [[1.0], v]}, lambda v: {"a": {"b": [], "c": v}}]
+    KEY_PLACES = [lambda v: {"a": {v: 1}}, lambda v: {"a": [{"b": []}, {v: []}]}]
+
+    @pytest.mark.parametrize("place", VALUE_PLACES + KEY_PLACES)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_float_anywhere_rejected(self, place, value):
+        for render in (render_artifact, json_artifact):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render(place(value))
+
+    @pytest.mark.parametrize("place", VALUE_PLACES)
+    @pytest.mark.parametrize("value", [np.int64(3), {1}, b"x"], ids=["int64", "set", "bytes"])
+    def test_unserialisable_value_raises_json_dumps_type_error(self, place, value):
+        with pytest.raises(TypeError) as want:
+            json_artifact(place(value))
+        with pytest.raises(TypeError) as got:
+            render_artifact(place(value))
+        assert str(got.value) == str(want.value) == f"Object of type {type(value).__name__} is not JSON serializable"
+
+    @pytest.mark.parametrize("place", KEY_PLACES)
+    @pytest.mark.parametrize("value", [np.int64(3), frozenset({1}), b"x"], ids=["int64", "frozenset", "bytes"])
+    def test_unserialisable_key_raises_type_error(self, place, value):
+        # the C encoder names an extension type by its dotted tp_name ("numpy.int64"), json.dumps by __name__
+        message = rf"^keys must be str, int, float, bool or None, not (numpy\.)?{type(value).__name__}$"
+        for render in (render_artifact, json_artifact):
+            with pytest.raises(TypeError, match=message):
+                render(place(value))
 
 
 class TestModelMetadata:
