@@ -8,21 +8,20 @@ pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
 ``kendall_tau`` is the plain (C - D) / (n(n-1)/2); it refuses exact ties,
 and without them it is tau-b at zero stderrs, bit for bit.
 
-The test is one helper, ``_z_test``, and it has two callers.  The sign
-kernel ``_sign_blocks`` yields, per benchmark, the upper triangle of the
-M x M square of signs of s_i - s_j (i < j), 0 where the gap is not
-significant, a block of model rows at a time so no array holds the signs
-of every pair.  Each unordered pair is tested once.  Pairs are concordant
-when their signs agree; score gaps are never multiplied (the product can
-underflow).  ``_sign_gram`` reads the triangle and makes every count that
-tau, tau-b and ``significant_difference`` read.  With S the B x M(M-1)/2
-signs, S S^T holds C - D for every benchmark pair (a, b), with no
-halving, and its diagonal the number of pairs significant on each
-benchmark; taken on b, that is C + D + Tx.  The partial orders of
-:mod:`~benchrank.alignment` call ``_z_test`` directly: on the models in
-descending score order, to find each row's band and suffix thresholds
-and to test the band pairs between them.  (The alignment's crossings are
-an inversion count of its two rankings and read no signs.)
+The test is one helper, ``_z_test``, and it has two callers.
+``_sign_gram`` tests each unordered pair of models i < j once per
+benchmark, a block of model rows at a time so no array holds the signs of
+every pair.  A pair's sign is that of s_i - s_j where the gap is
+significant and 0 where it is not; pairs are concordant when their signs
+agree, and score gaps are never multiplied (the product can underflow).
+With S the B x M(M-1)/2 signs, S S^T holds C - D for every benchmark pair
+(a, b), with no halving, and its diagonal the number of pairs significant
+on each benchmark; taken on b, that is C + D + Tx.  These are every count
+that tau, tau-b and ``significant_difference`` read.  The partial orders
+of :mod:`~benchrank.alignment` call ``_z_test`` directly: on the models in
+descending score order, to find each row's band and suffix thresholds and
+to test the band pairs between them.  (The alignment's crossings are an
+inversion count of its two rankings and read no signs.)
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
 never NaN, and every aggregation skips such cells and counts them.
@@ -136,8 +135,8 @@ def _refuse_ties(rows, names, message: str) -> None:
             raise TieError(message.format(name))
 
 
-#: Score differences per block of :func:`_sign_blocks`, summed over every
-#: benchmark; it bounds the kernel's temporaries and the Gram matmul sizes,
+#: Score differences per block of :func:`_sign_gram`, summed over every
+#: benchmark; it bounds the Gram's temporaries and matmul sizes,
 #: and the band pairs that one z-test call of ``build_partial_order`` takes.
 _PAIR_CHUNK = 1 << 13
 
@@ -171,48 +170,34 @@ def _z_test(s_a, s_b, var_a, var_b, critical_z: float) -> tuple[np.ndarray, np.n
         return d, q > critical_z
 
 
-def _sign_blocks(scores, stderrs, critical_z: float):
-    """Yield ``(a, signs)`` over row blocks of the upper triangle of the significance-sign square.
+def _sign_gram(scores, stderrs, critical_z: float) -> np.ndarray:
+    """S S^T between the rows of (B, M) ``scores``: C - D off the diagonal, n_sig on it.
 
-    Oriented ``scores`` and ``stderrs`` of shape (B, M) or (M,) give float
-    ``signs`` of shape (B, k, M-a-1) or (k, M-a-1) for models a..a+k-1
-    against models a+1..M-1: entry [..., r, c] is the sign of
-    d = s_(a+r) - s_(a+1+c) if |d| / sqrt(se_(a+r)^2 + se_(a+1+c)^2) >
-    critical_z, else 0.  Entries whose model a+1+c is not after model a+r
-    (c < r) are 0, so each unordered pair i < j appears once.  The blocks
-    tile rows 0..M-2, each holding about ``_PAIR_CHUNK`` differences, and
-    each block is one call of :func:`_z_test`.
+    Row b of S holds, for every model pair i < j, the sign of
+    d = s_i - s_j on benchmark b if |d| / sqrt(se_i^2 + se_j^2) >
+    ``critical_z``, else 0.  S is built a block of model rows at a time,
+    each block about ``_PAIR_CHUNK`` differences and one :func:`_z_test`
+    call: rows a..a+k-1 against columns a+1..M-1, with the entries below
+    the diagonal masked so each pair appears once and no halving is
+    needed.  A sign squared is 1 exactly when its pair is significant, so
+    the diagonal is n_sig, the number of significant pairs per row.  Every
+    entry and partial sum is an integer below 2^53, exact in float64, so
+    the result is independent of the block size and of summation order.
     """
-    m = scores.shape[-1]
-    nb = math.prod(scores.shape[:-1])
+    nb, m = scores.shape
     var = _variances(stderrs)
+    gram = np.zeros((nb, nb))
     a = 0
     while a < m - 1:
         width = m - 1 - a
         k = min(width, max(1, _PAIR_CHUNK // (nb * width)))
-        rows, cols = np.s_[..., a : a + k, None], np.s_[..., None, a + 1 :]
+        rows, cols = np.s_[:, a : a + k, None], np.s_[:, None, a + 1 :]
         d, significant = _z_test(scores[rows], scores[cols], var[rows], var[cols], critical_z)
         # row r of the block starts the triangle at column c = r
-        significant[..., :k] &= np.triu(np.ones((k, k), dtype=bool))
-        yield a, np.copysign(significant, d, out=d)
+        significant[:, :, :k] &= np.triu(np.ones((k, k), dtype=bool))
+        signs = np.copysign(significant, d, out=d).reshape(nb, -1)
+        gram += signs @ signs.T
         a += k
-
-
-def _sign_gram(scores, stderrs, critical_z: float) -> np.ndarray:
-    """S S^T between the rows of (B, M) ``scores``: C - D off the diagonal, n_sig on it.
-
-    S S^T is summed over the blocks of :func:`_sign_blocks`, which hold
-    each pair once, so no halving is needed.  A sign squared is 1 exactly
-    when its pair is significant, so the diagonal is n_sig, the number of
-    significant pairs per row.  Every entry and partial sum is an integer
-    below 2^53, exact in float64, so the result is independent of the block
-    size and of summation order.
-    """
-    nb = len(scores)
-    gram = np.zeros((nb, nb))
-    for _, signs in _sign_blocks(scores, stderrs, critical_z):
-        flat = signs.reshape(nb, -1)
-        gram += flat @ flat.T
     return gram
 
 

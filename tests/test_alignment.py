@@ -20,7 +20,7 @@ from oracles import _oracle_significant, greedy_oracle
 
 CFG = SignificanceConfig()
 
-#: A ``_PAIR_CHUNK`` for which the sign kernel yields blocks of 1 < k < M-a-1 rows, so their entries
+#: A ``_PAIR_CHUNK`` for which the sign Gram takes blocks of 1 < k < M-a-1 rows, so their entries
 #: below the diagonal must be masked; the default and 1 never do.
 STRADDLE_CHUNK = 37
 
@@ -490,16 +490,7 @@ class TestGreedyCoverage:
     def test_leaderboard_shape(self):
         # 600 models with binomial scores on about 100 items, as on a noisy leaderboard: most pairs are
         # suffix edges, a thin band needs the real test, and frontiers stay wide
-        rng = np.random.default_rng(53)
-        n, items = 600, 100
-        skill = rng.normal(size=n)
-        tasks = []
-        for shift in (0.0, 0.3):
-            p = 1.0 / (1.0 + np.exp(-(skill + rng.normal(0.0, 0.5, n) + shift)))
-            s = rng.binomial(items, p) / items
-            tasks += [s, np.sqrt(s * (1.0 - s) / items)]
-        s1, e1, s2, e2 = tasks
-        ids = tuple(f"m{k:03d}" for k in rng.permutation(n))
+        s1, e1, s2, e2, ids = leaderboard_case(np.random.default_rng(53))
         ar = rank_models(s1, e1, s2, e2, CFG, ids)
         expected = greedy_oracle(ids, oracle_partial_order(s1, e1, ids), oracle_partial_order(s2, e2, ids), s1, s2)
         assert (ar.order1, ar.order2) == expected

@@ -16,6 +16,10 @@ script from the repository root::
 
 and paste what it prints over ``DIGESTS``.  CHANGES.md must say that the
 table was re-recorded and why.
+
+A second test runs ``agree --method tau-b`` and both ``pca`` preprocessings
+on a 1000-model, 60-benchmark file in subprocesses under one and two
+OpenBLAS threads, and requires byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,9 +30,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 if __name__ == "__main__":  # run as a script: import the package from this checkout's src/, as pytest does
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -153,6 +160,40 @@ def artifact_digests() -> dict[str, str]:
 def test_every_artifact_matches_its_golden_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert artifact_digests() == DIGESTS
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # its own generator: 1000 models with binomial scores on 400 items, on 60 benchmarks
+    rng = np.random.default_rng(71)
+    n_models, n_benchmarks, items = 1000, 60, 400
+    skill = rng.normal(size=n_models)
+    rows = [["benchmark", "model", "score", "stderr", "n", "direction"]]
+    for b in range(n_benchmarks):
+        p = 1.0 / (1.0 + np.exp(-(rng.uniform(0.5, 1.5) * skill + rng.normal(0.0, 0.5, n_models))))
+        s = rng.binomial(items, p) / items
+        e = np.sqrt(s * (1.0 - s) / items)
+        for j, (x, y) in enumerate(zip(s.tolist(), e.tolist())):
+            rows.append([f"b{b:02d}", f"m{j:04d}", repr(x), repr(y), items, "higher"])
+    runs = [
+        ["agree", "--scores", "scores.csv", "--method", "tau-b", "--out", "agree.json"],
+        ["pca", "--scores", "scores.csv", "--out", "pca_center.json"],
+        ["pca", "--scores", "scores.csv", "--preprocess", "zscore", "--out", "pca_zscore.json"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    artifacts = {}
+    for threads in ("1", "2"):  # never more than two, so that a two-core machine is not oversubscribed
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        _write_csv(str(work / "scores.csv"), rows)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for argv in runs:  # the same relative paths in both directories, so the manifests match
+            proc = subprocess.run(
+                [sys.executable, "-m", "benchrank.cli", *argv], cwd=work, env=env, capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+        artifacts[threads] = {argv[-1]: (work / argv[-1]).read_bytes() for argv in runs}
+    assert artifacts["1"] == artifacts["2"]
 
 
 def _record() -> None:

@@ -1,7 +1,8 @@
 import ast
 import dataclasses
 import math
-from itertools import product
+import operator
+from itertools import combinations
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -31,7 +32,7 @@ from oracles import _oracle_significant, tau_oracle, taub_oracle
 
 CFG = SignificanceConfig()
 
-#: A ``_PAIR_CHUNK`` for which the sign kernel yields blocks of 1 < k < M-a-1 rows on these tests'
+#: A ``_PAIR_CHUNK`` for which the sign Gram takes blocks of 1 < k < M-a-1 rows on these tests'
 #: shapes, so their entries below the diagonal must be masked; the default and 1 never do.
 STRADDLE_CHUNK = 37
 
@@ -129,6 +130,17 @@ class TestSignificantDifference:
     def test_zero_stderrs_exact_inequality(self):
         assert significant_difference(0.5, 0.0, 0.5000001, 0.0, CFG)
 
+    def test_critical_z_itself_is_not_significant(self):
+        # |d| / sqrt(1 + 0) is exactly critical_z: a tie, and one ulp above it is not
+        z = CFG.critical_z
+        for gap, significant, tau_b in [(z, False, 2 / math.sqrt(6)), (math.nextafter(z, math.inf), True, 1.0)]:
+            assert significant_difference(gap, 1.0, 0.0, 0.0, CFG) is significant
+            assert significant_difference(0.0, 0.0, gap, 1.0, CFG) is significant
+            po = build_partial_order([gap, 0.0], [1.0, 0.0], CFG, ["a", "b"])
+            assert po.edges == ({("a", "b")} if significant else set())
+            # the third model's gaps are significant in both dimensions, so only the boundary pair can tie
+            assert kendall_tau_b([gap, 0.0, -10.0], [1.0, 0.0, 0.0], [3.0, 2.0, 1.0], [0.0] * 3, CFG) == tau_b
+
     @given(
         st.floats(-10, 10), st.floats(0, 1), st.floats(-10, 10), st.floats(0, 1)
     )
@@ -157,50 +169,42 @@ kernel_stderrs = st.one_of(
 
 @st.composite
 def kernel_inputs(draw):
-    """Oriented scores and stderrs of shape (B, M) or (M,), plus a critical z."""
+    """Oriented scores and stderrs of shape (B, M), plus a critical z."""
     nb, m = draw(st.integers(1, 3)), draw(st.integers(0, 9))
     scores = np.array(draw(st.lists(kernel_scores, min_size=nb * m, max_size=nb * m))).reshape(nb, m)
     stderrs = np.array(draw(st.lists(kernel_stderrs, min_size=nb * m, max_size=nb * m))).reshape(nb, m)
-    if nb == 1 and draw(st.booleans()):
-        scores, stderrs = scores[0], stderrs[0]
     return scores, stderrs, draw(st.sampled_from([CFG.critical_z, 1.0, 1e-3, 40.0]))
 
 
 class TestSignBlocks:
+    """The sign Gram, summed over row blocks of the pair triangle, at several block sizes."""
+
     @given(kernel_inputs(), st.sampled_from([rankstats._PAIR_CHUNK, 1, 5, STRADDLE_CHUNK]))
     # always one case with blocks that straddle the diagonal, mixing ties, significant and insignificant gaps
     @example((np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0]]), np.full((1, 9), 0.5), 1.0), STRADDLE_CHUNK)
-    def test_triangle_holds_each_pair_once(self, inputs, chunk):
+    def test_gram_is_the_product_of_oracle_signs(self, inputs, chunk):
         scores, stderrs, z = inputs
         with mock.patch.object(rankstats, "_PAIR_CHUNK", chunk), np.errstate(over="ignore"):
-            blocks = list(rankstats._sign_blocks(scores, stderrs, z))
-        m = scores.shape[-1]
-        sizes = [s.shape[-2] for _, s in blocks]
-        # the blocks tile rows 0..M-2, and block a holds columns a+1..M-1
-        assert [a for a, _ in blocks] == np.cumsum([0] + sizes)[:-1].tolist()
-        assert sum(sizes) == max(m - 1, 0)
-        for a, signs in blocks:
-            assert signs.shape == scores.shape[:-1] + (signs.shape[-2], m - a - 1)
-        rows, errs = np.atleast_2d(scores).tolist(), np.atleast_2d(stderrs).tolist()
-        for a, signs in blocks:
-            signs = signs.reshape((len(rows),) + signs.shape[-2:])
-            # the Gram's C - D without halving relies on each pair appearing once: 0 wherever column <= row
-            for (s, e, block), (r, c) in product(zip(rows, errs, signs), np.ndindex(signs.shape[1:])):
-                i, j = a + r, a + 1 + c
-                if j <= i:
-                    assert block[r, c] == 0.0
-                else:
-                    significant = _oracle_significant(s[i], e[i], s[j], e[j], z)
-                    assert block[r, c] == ((1.0 if s[i] > s[j] else -1.0) if significant else 0.0)
+            gram = rankstats._sign_gram(scores, stderrs, z)
+        # S holds one sign per pair i < j, so S S^T is C - D with no halving, and n_sig on the diagonal
+        signs = [
+            [
+                (1 if s[i] > s[j] else -1) if _oracle_significant(s[i], e[i], s[j], e[j], z) else 0
+                for i, j in combinations(range(len(s)), 2)
+            ]
+            for s, e in zip(scores.tolist(), stderrs.tolist())
+        ]
+        assert gram.tolist() == [[sum(map(operator.mul, u, v)) for v in signs] for u in signs]
 
     def test_fewest_models(self):
-        for shape in [(1,), (2, 1)]:
-            assert list(rankstats._sign_blocks(np.zeros(shape), np.zeros(shape), 1.0)) == []
-        (a, signs), = rankstats._sign_blocks(np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros((2, 2)), 1.0)
-        assert a == 0 and signs.tolist() == [[[0.0]], [[-1.0]]]
-        assert rankstats._sign_gram(np.array([[0.5, 0.5], [0.4, 0.6]]), np.zeros((2, 2)), 1.0).tolist() == [
-            [0.0, 0.0],
-            [0.0, 1.0],
+        for nb, m in [(1, 0), (1, 1), (2, 1)]:
+            assert rankstats._sign_gram(np.zeros((nb, m)), np.zeros((nb, m)), 1.0).tolist() == [[0.0] * nb] * nb
+        # M = 2: one pair per row, tied, below and above
+        scores = np.array([[0.5, 0.5], [0.4, 0.6], [0.6, 0.4]])
+        assert rankstats._sign_gram(scores, np.zeros((3, 2)), 1.0).tolist() == [
+            [0.0, 0.0, 0.0],
+            [0.0, 1.0, -1.0],
+            [0.0, -1.0, 1.0],
         ]
         assert not significant_difference(0.5, 0.0, 0.5, 0.0, CFG)
         assert significant_difference(0.5, 0.0, 0.6, 0.0, CFG)
