@@ -255,8 +255,12 @@ def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.nda
 
     Exact ties break lexicographically by model id so that ranking is
     deterministic.  Returns ranks positionally aligned with the input.
+    Raises :class:`AlignmentError` unless ``scores`` is a vector of finite
+    values, since a NaN has no place in a ranking.
     """
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1 or not np.isfinite(scores).all():
+        raise AlignmentError("scores must be a vector of finite values")
     ids = _default_ids(len(scores), model_ids)
     s = scores.tolist()
     order = sorted(range(len(ids)), key=lambda k: (-s[k], ids[k]))

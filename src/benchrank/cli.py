@@ -175,26 +175,28 @@ def _matrix_cells(values: np.ndarray, mask: np.ndarray) -> list[list[float | Non
     ]
 
 
+def _artifact(path, kind: str, manifest: RunManifest, fields: dict) -> tuple[Path, str]:
+    """One artifact to write: its path and its text, the envelope of ``kind`` and ``manifest`` then ``fields``."""
+    return Path(path), render_artifact({**_envelope(kind, manifest), **fields})
+
+
 def _cmd_agree(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m = load_scores(args.scores)
     cfg = SignificanceConfig(alpha=args.alpha)
     am = agreement_matrix(m, method=args.method.replace("-", "_"), cfg=cfg)
     means = mean_agreement(am)
-    payload = _envelope("agreement", manifest)
-    payload.update(
-        {
-            "method": args.method,
-            "alpha": args.alpha,
-            "benchmark_ids": list(am.benchmark_ids),
-            "values": _matrix_cells(am.values, am.degenerate),
-            "n_degenerate_cells": int(am.degenerate.sum()) // 2,
-            "mean_agreement": [
-                {"benchmark": b, "mean": float(v), "n_excluded": int(k)}
-                for b, v, k in zip(means.benchmark_ids, means.means, means.n_excluded)
-            ],
-        }
-    )
-    return [(Path(args.out), render_artifact(payload))]
+    fields = {
+        "method": args.method,
+        "alpha": args.alpha,
+        "benchmark_ids": list(am.benchmark_ids),
+        "values": _matrix_cells(am.values, am.degenerate),
+        "n_degenerate_cells": int(am.degenerate.sum()) // 2,
+        "mean_agreement": [
+            {"benchmark": b, "mean": float(v), "n_excluded": int(k)}
+            for b, v, k in zip(means.benchmark_ids, means.means, means.n_excluded)
+        ],
+    }
+    return [_artifact(args.out, "agreement", manifest, fields)]
 
 
 def _aligned_pair_table(
@@ -242,9 +244,7 @@ def _cmd_align(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     mb = _reorder_like(mb, mb.benchmark_ids, ma.model_ids)
     cfg = SignificanceConfig(alpha=args.alpha)
     table = _aligned_pair_table(ma, mb, args.benchmark_a, args.benchmark_b, cfg)
-    payload = _envelope("alignment", manifest)
-    payload.update({"alpha": args.alpha, "tables": [table]})
-    return [(Path(args.out), render_artifact(payload))]
+    return [_artifact(args.out, "alignment", manifest, {"alpha": args.alpha, "tables": [table]})]
 
 
 def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
@@ -254,22 +254,17 @@ def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         raise LoadError(
             f"--top-k {args.top_k} exceeds the {result.n_components} available components"
         )
-    payload = _envelope("pca", manifest)
-    payload.update(
-        {
-            "preprocessing": result.preprocessing,
-            "benchmark_ids": list(result.benchmark_ids),
-            "eigenvalues": [float(v) for v in result.eigenvalues],
-            "explained_variance_ratio": [float(v) for v in result.evr],
-            "top_k": args.top_k,
-            "top_k_evr": [float(v) for v in result.evr[: args.top_k]],
-            "top_k_share": explained_variance_share(result, args.top_k),
-            "pc1_scores": [
-                {"model": mod, "pc1": float(v)} for mod, v in zip(result.model_ids, result.pc1_scores)
-            ],
-        }
-    )
-    return [(Path(args.out), render_artifact(payload))]
+    fields = {
+        "preprocessing": result.preprocessing,
+        "benchmark_ids": list(result.benchmark_ids),
+        "eigenvalues": [float(v) for v in result.eigenvalues],
+        "explained_variance_ratio": [float(v) for v in result.evr],
+        "top_k": args.top_k,
+        "top_k_evr": [float(v) for v in result.evr[: args.top_k]],
+        "top_k_share": explained_variance_share(result, args.top_k),
+        "pc1_scores": [{"model": mod, "pc1": float(v)} for mod, v in zip(result.model_ids, result.pc1_scores)],
+    }
+    return [_artifact(args.out, "pca", manifest, fields)]
 
 
 def _cmd_flops(args, manifest: RunManifest) -> list[tuple[Path, str]]:
@@ -287,9 +282,7 @@ def _cmd_flops(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         if rec.token_count is not None
     ]
     excluded = [rec.model_id for rec in records if rec.token_count is None]
-    payload = _envelope("flops", manifest)
-    payload.update({"models": rows, "excluded": excluded})
-    return [(Path(args.out), render_artifact(payload))]
+    return [_artifact(args.out, "flops", manifest, {"models": rows, "excluded": excluded})]
 
 
 def _load_synth_config(path: str) -> SyntheticConfig:
@@ -378,45 +371,48 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     pcas = {name: fit_pca(m, "center") for name, m in modes.items()}
     ppl = [rec.benchmark_id for rec in cats if rec.category == "PPL" and rec.benchmark_id in m_direct.benchmark_ids]
 
-    fig2 = _envelope("mean_agreement", manifest)
-    fig2["benchmark_ids"] = list(m_direct.benchmark_ids)
-    fig2["modes"] = {}
-    for name, am in ams.items():
-        means = mean_agreement(am)
-        fig2["modes"][name] = {
-            "means": [float(v) for v in means.means],
-            "n_excluded": [int(k) for k in means.n_excluded],
-            "overall_mean": _defined_mean(am)[0],
-        }
-    fig2["perplexity_block"] = (
-        {name: _perplexity_block(am, ppl) for name, am in ams.items()} if ppl else None
-    )
+    # every table is computed, in this order, before any is rendered; each file is named by its kind
+    tables = {}
+    means = {name: mean_agreement(am) for name, am in ams.items()}
+    tables["mean_agreement"] = {
+        "benchmark_ids": list(m_direct.benchmark_ids),
+        "modes": {
+            name: {
+                "means": [float(v) for v in res.means],
+                "n_excluded": [int(k) for k in res.n_excluded],
+                "overall_mean": _defined_mean(ams[name])[0],
+            }
+            for name, res in means.items()
+        },
+        "perplexity_block": {name: _perplexity_block(am, ppl) for name, am in ams.items()} if ppl else None,
+    }
 
-    fig3 = _envelope("category_agreement", manifest)
     cat_results = {name: category_agreement(am, cats) for name, am in ams.items()}
-    fig3["categories"] = list(next(iter(cat_results.values())).categories)
-    fig3["modes"] = {
-        name: {
-            "values": _matrix_cells(res.values, res.undefined),
-            "n_excluded": [[int(v) for v in row] for row in res.n_excluded],
-        }
-        for name, res in cat_results.items()
+    tables["category_agreement"] = {
+        "categories": list(next(iter(cat_results.values())).categories),
+        "modes": {
+            name: {
+                "values": _matrix_cells(res.values, res.undefined),
+                "n_excluded": [[int(v) for v in row] for row in res.n_excluded],
+            }
+            for name, res in cat_results.items()
+        },
     }
 
-    fig6 = _envelope("evr", manifest)
-    fig6["preprocessing"] = "center"
-    fig6["modes"] = {
-        name: {
-            "eigenvalues": [float(v) for v in res.eigenvalues],
-            "explained_variance_ratio": [float(v) for v in res.evr],
-            "top5_share": explained_variance_share(res, min(5, res.n_components)),
-        }
-        for name, res in pcas.items()
+    tables["evr"] = {
+        "preprocessing": "center",
+        "modes": {
+            name: {
+                "eigenvalues": [float(v) for v in res.eigenvalues],
+                "explained_variance_ratio": [float(v) for v in res.evr],
+                "top5_share": explained_variance_share(res, min(5, res.n_components)),
+            }
+            for name, res in pcas.items()
+        },
     }
 
-    fig7 = _envelope("pc1_compute", manifest)
     flops_by_model = {rec.model_id: rec.flops for rec in compute_records}
-    fig7["models"] = [
+    models = [
         {
             "model": mod,
             "log10_flops": float(np.log10(flops_by_model[mod])),
@@ -432,26 +428,19 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         if not isinstance(tau, float):
             raise DegenerateError(f"pc1 vs compute correlation is degenerate for {name}")
         taus[name] = tau
-    fig7["tau"] = taus
+    tables["pc1_compute"] = {"models": models, "tau": taus}
 
     cfg = SignificanceConfig()
-    fig1 = _envelope("alignment", manifest)
-    fig1["alpha"] = cfg.alpha
-    fig1["tables"] = []
+    aligned = []
     for bench_a, bench_b in pairs:
         for name, m in modes.items():
             table = _aligned_pair_table(m, m, bench_a, bench_b, cfg)
             table["mode"] = name
-            fig1["tables"].append(table)
+            aligned.append(table)
+    tables["alignment"] = {"alpha": cfg.alpha, "tables": aligned}
 
     out = Path(args.out_dir)
-    return [
-        (out / "mean_agreement.json", render_artifact(fig2)),
-        (out / "category_agreement.json", render_artifact(fig3)),
-        (out / "evr.json", render_artifact(fig6)),
-        (out / "pc1_compute.json", render_artifact(fig7)),
-        (out / "alignment.json", render_artifact(fig1)),
-    ]
+    return [_artifact(out / f"{kind}.json", kind, manifest, fields) for kind, fields in tables.items()]
 
 
 def run_cli(argv=None) -> int:

@@ -363,13 +363,18 @@ def bits_per_byte(total_nll_nats: float, total_bytes: float) -> float:
     """Convert a summed negative log-likelihood in nats to bits per byte.
 
     BPB = total_nll_nats / (total_bytes * ln 2), a tokenizer-independent
-    perplexity measure.
+    perplexity measure.  Raises ``ValueError`` unless ``total_bytes`` is
+    finite and > 0 and ``total_nll_nats`` finite and >= 0, or when the
+    quotient overflows float64.
     """
-    if total_bytes <= 0:
-        raise ValueError(f"total_bytes must be > 0, got {total_bytes}")
-    if total_nll_nats < 0:
-        raise ValueError(f"total_nll_nats must be >= 0, got {total_nll_nats}")
-    return total_nll_nats / (total_bytes * math.log(2.0))
+    if not 0 < total_bytes < math.inf:
+        raise ValueError(f"total_bytes must be finite and > 0, got {total_bytes}")
+    if not 0 <= total_nll_nats < math.inf:
+        raise ValueError(f"total_nll_nats must be finite and >= 0, got {total_nll_nats}")
+    bpb = total_nll_nats / (total_bytes * math.log(2.0))
+    if bpb == math.inf:
+        raise ValueError(f"bits per byte overflows float64 at ({total_nll_nats}, {total_bytes})")
+    return bpb
 
 
 def average_rank_vector(m: ScoreMatrix, subset: list[str]) -> np.ndarray:

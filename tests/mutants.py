@@ -7,9 +7,10 @@ Run from the repository root::
 Each mutant is one exact text replacement in one file of ``src/``.  For
 each, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 temp directory, applies the replacement there (its text must occur exactly
-once), and runs ``CORE_TESTS`` with ``pytest -x``.  The mutant is
-killed when a test fails.  A mutant with an ``equivalent`` reason computes
-the same results as the program, so no test can kill it; it must survive.
+once), and runs the mutant's test files (``CORE_TESTS`` unless it names
+others) with ``pytest -x``.  The mutant is killed when a test fails.  A
+mutant with an ``equivalent`` reason computes the same results as the
+program, so no test can kill it; it must survive.
 The script prints one line per mutant and exits 1 when a mutant that is not
 equivalent survives or an equivalent one is killed.
 
@@ -31,6 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The tests of the pairwise z-test and everything built on it.
 CORE_TESTS = ("tests/test_rankstats.py", "tests/test_alignment.py", "tests/test_oracles.py", "tests/test_acceptance.py")
+IO_TESTS = ("tests/test_io.py",)
+CLI_TESTS = ("tests/test_cli.py",)
+GOLDEN_TESTS = ("tests/test_golden.py",)
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class Mutant:
     old: str
     new: str
     equivalent: str | None = None
+    tests: tuple[str, ...] = CORE_TESTS
 
 
 MUTANTS = [
@@ -67,6 +72,89 @@ MUTANTS = [
             "add 0 to the Gram; the triangle mask still drops every pair below the diagonal"
         ),
     ),
+    Mutant(
+        "tau-b-degenerate-and",
+        "src/benchrank/rankstats.py",
+        "(n_sig[:, None] == 0) | (n_sig == 0)",
+        "(n_sig[:, None] == 0) & (n_sig == 0)",
+    ),
+    Mutant(
+        "partial-order-unstable-sort",
+        "src/benchrank/alignment.py",
+        'order = np.argsort(-scores, kind="stable")',
+        "order = np.argsort(-scores)",
+    ),
+    Mutant(
+        "band-rows-side-left",
+        "src/benchrank/alignment.py",
+        'np.searchsorted(ends, at, side="right")',
+        'np.searchsorted(ends, at, side="left")',
+    ),
+    Mutant(
+        "thresholds-variances-swapped",
+        "src/benchrank/alignment.py",
+        "np.repeat([var.min(), var.max()], m)",
+        "np.repeat([var.max(), var.min()], m)",
+    ),
+    Mutant(
+        "frontier-bound-le",
+        "src/benchrank/alignment.py",
+        "if not indeg[j] and j < bound:",
+        "if not indeg[j] and j <= bound:",
+    ),
+    Mutant("greedy-key2-not-lowered", "src/benchrank/alignment.py", "        key2[k1] -= n\n", ""),
+    Mutant(
+        "crossings-le",
+        "src/benchrank/alignment.py",
+        "np.count_nonzero(pos[i + 1 :] < p)",
+        "np.count_nonzero(pos[i + 1 :] <= p)",
+        equivalent=(
+            "the task-2 ranks listed in order1's order are a permutation, so no later rank equals p "
+            "and <= counts the same entries as <"
+        ),
+    ),
+    Mutant(
+        "bulk-loader-misses-duplicates",
+        "src/benchrank/io.py",
+        "(np.bincount(cell, minlength=rows) != 1).any()",
+        "(np.bincount(cell, minlength=rows) > 2).any()",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "bulk-loader-takes-n-zero",
+        "src/benchrank/io.py",
+        "(n is None or n >= 1)",
+        "(n is None or n >= 0)",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "output-error-exit-3",
+        "src/benchrank/cli.py",
+        '        print(f"error: output: {e}", file=sys.stderr)\n        return EXIT_INPUT\n',
+        '        print(f"error: output: {e}", file=sys.stderr)\n        return EXIT_DEGENERATE\n',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "artifact-fields-before-envelope",
+        "src/benchrank/cli.py",
+        "{**_envelope(kind, manifest), **fields}",
+        "{**fields, **_envelope(kind, manifest)}",
+        tests=GOLDEN_TESTS,
+    ),
+    Mutant(
+        "category-diagonal-swapped",
+        "src/benchrank/rankstats.py",
+        "cells = combinations(rows, 2) if ci == cj else product(rows, cols)",
+        "cells = combinations(rows, 2) if ci != cj else product(rows, cols)",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "perplexity-block-of-direct-mode",
+        "src/benchrank/cli.py",
+        "_perplexity_block(am, ppl) for name, am in ams.items()",
+        '_perplexity_block(ams["direct"], ppl) for name in ams',
+        tests=CLI_TESTS,
+    ),
 ]
 
 
@@ -88,7 +176,7 @@ def run(mutant: Mutant) -> bool:
             raise SystemExit(f"{mutant.name}: the text to replace occurs {text.count(mutant.old)} times in {mutant.path}")
         target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *CORE_TESTS]
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
         proc = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         if proc.returncode not in (0, 1):
             raise SystemExit(f"{mutant.name}: pytest exited with code {proc.returncode}")

@@ -14,12 +14,13 @@ import csv
 import io
 import json
 import math
+from itertools import combinations
 from typing import Hashable
 
 import numpy as np
 
 from benchrank.alignment import PartialOrder
-from benchrank.core import DEGENERATE, Degenerate, ScoreMatrix
+from benchrank.core import CATEGORIES, DEGENERATE, BenchmarkRecord, Degenerate, ScoreMatrix
 from benchrank.io import FORMAT_VERSION, SCORE_CSV_HEADER, RunManifest
 from benchrank.rankstats import SignificanceConfig
 from benchrank.synth import SyntheticConfig
@@ -81,6 +82,78 @@ def taub_oracle(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenerate
     if c + d + tx == 0 or c + d + ty == 0:
         return DEGENERATE
     return (c - d) / math.sqrt((c + d + tx) * (c + d + ty))
+
+
+def _fsum_mean(cells) -> tuple[float | None, int]:
+    """``math.fsum`` mean of the non-degenerate cells (None if there is none) and the number of degenerate ones."""
+    kept = [c for c in cells if c is not DEGENERATE]
+    return (math.fsum(kept) / len(kept) if kept else None), len(cells) - len(kept)
+
+
+def report_means_oracle(matrices: dict[str, ScoreMatrix], categories: list[BenchmarkRecord]) -> dict[str, dict]:
+    """The fields of ``report``'s ``mean_agreement`` and ``category_agreement`` artifacts, by kind.
+
+    ``matrices`` maps each mode to its parsed score matrix.  The first
+    matrix's benchmark and model order is the tables' order; the others are
+    read by id.  ``categories`` lists the category records in file order,
+    which is the order of the perplexity block.  Every agreement cell is
+    :func:`taub_oracle` at zero stderrs on scores negated on lower-is-better
+    rows, and every mean is a ``math.fsum`` mean of the defined cells.
+    """
+    first = next(iter(matrices.values()))
+    bench, models = list(first.benchmark_ids), list(first.model_ids)
+    nb, zeros, cfg = len(bench), [0.0] * len(models), SignificanceConfig()
+    cat_of = {rec.benchmark_id: rec.category for rec in categories}
+    ppl = [bench.index(rec.benchmark_id) for rec in categories if rec.category == "PPL" and rec.benchmark_id in bench]
+    down = [i for i in range(nb) if i not in ppl]
+    present = [c for c in CATEGORIES if any(cat_of[b] == c for b in bench)]
+    members = {c: [i for i in range(nb) if cat_of[bench[i]] == c] for c in present}
+    means, blocks, cats = {}, {}, {}
+    for name, m in matrices.items():
+        rows = []
+        for b in bench:
+            i = m.benchmark_ids.index(b)
+            sign = -1.0 if m.direction[i] == "lower" else 1.0
+            rows.append([sign * float(m.scores[i, m.model_ids.index(mod)]) for mod in models])
+        tau = {}
+        for i in range(nb):
+            for j in range(i + 1, nb):
+                tau[i, j] = tau[j, i] = taub_oracle(rows[i], zeros, rows[j], zeros, cfg)
+        per_row = [_fsum_mean([tau[i, j] for j in range(nb) if j != i]) for i in range(nb)]
+        means[name] = {
+            "means": [mean for mean, _ in per_row],
+            "n_excluded": [k for _, k in per_row],
+            "overall_mean": _fsum_mean([tau[i, j] for i in range(nb) for j in range(i + 1, nb)])[0],
+        }
+        cross = [(i, j) for i in ppl for j in down]
+        blocks[name] = {
+            "ppl_benchmarks": [bench[i] for i in ppl],
+            "ppl_vs_ppl_mean": _fsum_mean([tau[i, j] for i, j in combinations(ppl, 2)])[0],
+            "ppl_vs_downstream_mean": _fsum_mean([tau[i, j] for i, j in cross])[0],
+            "pairs": [
+                {"ppl": bench[i], "benchmark": bench[j], "tau": None if tau[i, j] is DEGENERATE else tau[i, j]}
+                for i, j in cross
+            ],
+        }
+        table = [
+            [
+                _fsum_mean(
+                    [tau[i, j] for i, j in combinations(members[c1], 2)]
+                    if c1 == c2
+                    else [tau[i, j] for i in members[c1] for j in members[c2]]
+                )
+                for c2 in present
+            ]
+            for c1 in present
+        ]
+        cats[name] = {
+            "values": [[mean for mean, _ in row] for row in table],
+            "n_excluded": [[k for _, k in row] for row in table],
+        }
+    return {
+        "mean_agreement": {"benchmark_ids": bench, "modes": means, "perplexity_block": blocks if ppl else None},
+        "category_agreement": {"categories": present, "modes": cats},
+    }
 
 
 def _linear_extensions(model_ids: tuple[Hashable, ...], edges) -> list[tuple[Hashable, ...]]:

@@ -1,3 +1,4 @@
+import math
 from itertools import groupby, product
 
 import numpy as np
@@ -218,6 +219,18 @@ class TestVanillaRanks:
 
     def test_single_model(self):
         assert list(vanilla_ranks([0.4])) == [1]
+
+    @pytest.mark.parametrize(
+        "scores", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, math.inf, 2.0], [[1.0, 2.0], [3.0, 4.0]]]
+    )
+    def test_non_finite_or_non_vector_scores_are_refused(self, scores):
+        with pytest.raises(AlignmentError, match="finite"):
+            vanilla_ranks(scores)
+
+    def test_greedy_refuses_nan_scores(self):
+        ids = ("A", "B", "C")
+        with pytest.raises(AlignmentError, match="finite"):
+            parallel_greedy_rank(ids, chain(ids), chain(ids), [3.0, math.nan, 1.0], [3.0, 2.0, 1.0])
 
 
 def grouped_by_winner(po: PartialOrder) -> bool:

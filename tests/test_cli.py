@@ -1,15 +1,19 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchrank import __version__, cli
 from benchrank.cli import run_cli
-from benchrank.io import file_sha256, load_artifact, load_scores
+from benchrank.core import CATEGORIES
+from benchrank.io import file_sha256, load_artifact, load_benchmark_categories, load_scores
 from benchrank.synth import SyntheticConfig
 
-from oracles import generate_oracle
+from oracles import generate_oracle, report_means_oracle
 
 SIM_CONFIG = {
     "n_models": 8,
@@ -808,3 +812,76 @@ class TestReport:
         listed = {row["model"] for row in payload["models"]}
         assert "model02" not in listed and len(listed) == 7
         assert set(payload["tau"]) == {"direct", "train_before_test"}
+
+
+@st.composite
+def report_inputs(draw) -> dict[str, str]:
+    """The four input files of ``report``, by name: 3-10 models, 2-7 benchmarks, 0-2 of them perplexity rows.
+
+    Scores sit on a grid of five values, so exact ties are common, but no
+    row is constant: a constant row makes every agreement cell of its
+    benchmark degenerate, and ``report`` exits 3.  So ``report`` succeeds on
+    every draw, and no degenerate cell reaches its tables.
+    """
+    n_models, n_bench = draw(st.integers(3, 10)), draw(st.integers(2, 7))
+    bench = [f"b{i}" for i in range(n_bench)]
+    n_ppl = draw(st.integers(0, min(2, n_bench)))
+    cats = [(b, "PPL" if i < n_ppl else draw(st.sampled_from(CATEGORIES[:-1]))) for i, b in enumerate(bench)]
+    files = {"cats.csv": "benchmark,category\n" + "".join(f"{b},{c}\n" for b, c in draw(st.permutations(cats)))}
+    direction = {b: draw(st.sampled_from(["higher", "lower"])) for b in bench}
+    grid = st.lists(st.integers(0, 4), min_size=n_models, max_size=n_models)
+    for name in ("direct.csv", "tbt.csv"):
+        rows = []
+        for b in bench:
+            levels = draw(grid)
+            levels[-1] += len(set(levels)) == 1  # a constant row gets one model a step higher
+            for j, k in enumerate(levels):
+                rows.append(f"{b},m{j},{k / 4!r},{draw(st.sampled_from([0.0, 0.1]))!r},,{direction[b]}\n")
+        files[name] = "benchmark,model,score,stderr,n,direction\n" + "".join(draw(st.permutations(rows)))
+    files["models.csv"] = "model,family,params_b,tokens_b,instruction_tuned\n" + "".join(
+        f"m{j},synth,{j + 1}.0,10.0,false\n" for j in range(n_models)
+    )
+    return files
+
+
+#: Absolute bound on a mean field against the ``math.fsum`` mean of the same
+#: tau-b cells, which equal the oracle's exactly.  ``np.mean`` sums n <= 21
+#: cells (7 benchmarks) of |tau| <= 1 with an error below (n - 1) * 2^-53 * n,
+#: so a mean is off by under 20 * 2^-53, about 2.2e-15, plus one rounding of
+#: the quotient.
+MEAN_FIELD_TOL = dict.fromkeys(("means", "overall_mean", "ppl_vs_ppl_mean", "ppl_vs_downstream_mean", "values"), 1e-14)
+
+
+def assert_matches(got, want, tol=None):
+    """``got`` has ``want``'s structure and types; floats under a field of ``MEAN_FIELD_TOL`` within its bound, the rest equal."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_matches(got[key], want[key], MEAN_FIELD_TOL.get(key, tol))
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_matches(g, w, tol)
+    elif isinstance(want, float) and tol is not None:
+        assert abs(got - want) <= tol
+    else:
+        assert got == want
+
+
+class TestReportOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(report_inputs())
+    def test_mean_and_category_tables_match_the_oracle(self, files):
+        with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
+            work = Path(tmp)
+            for name, text in files.items():
+                (work / name).write_text(text, encoding="utf-8")
+            argv = [str(work / a) if a in files or a == "rep" else a for a in REPORT_ARGV]
+            assert run_cli(argv) == 0
+            matrices = {"direct": load_scores(work / "direct.csv"), "train_before_test": load_scores(work / "tbt.csv")}
+            want = report_means_oracle(matrices, load_benchmark_categories(work / "cats.csv"))
+            for kind, fields in want.items():
+                payload = load_artifact(work / "rep" / f"{kind}.json")
+                envelope = ("format_version", "kind", "manifest")
+                assert_matches({k: v for k, v in payload.items() if k not in envelope}, fields)

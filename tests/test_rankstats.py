@@ -579,6 +579,14 @@ class TestBitsPerByte:
         with pytest.raises(ValueError, match="total_nll"):
             bits_per_byte(-1.0, 10)
 
+    @pytest.mark.parametrize(
+        "nll, total_bytes",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1e308, 1e-308)],
+    )
+    def test_non_finite_input_or_result_is_refused(self, nll, total_bytes):
+        with pytest.raises(ValueError):
+            bits_per_byte(nll, total_bytes)
+
 
 class TestAverageRankVector:
     def test_single_benchmark_is_oriented_row(self):
