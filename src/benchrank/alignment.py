@@ -339,7 +339,7 @@ def parallel_greedy_rank(
         raise AlignmentError("both partial orders must cover exactly the given model set")
     score1 = np.asarray(score1, dtype=float)
     score2 = np.asarray(score2, dtype=float)
-    if len(score1) != len(models) or len(score2) != len(models):
+    if score1.shape != (len(models),) or score2.shape != (len(models),):
         raise AlignmentError("score vectors must match the model list")
     vr1 = vanilla_ranks(score1, models).tolist()
     vr2 = vanilla_ranks(score2, models).tolist()
@@ -384,6 +384,8 @@ def rank_models(
     """
     score1 = np.asarray(score1, dtype=float)
     score2 = np.asarray(score2, dtype=float)
+    if score1.ndim != 1 or score2.ndim != 1:
+        raise AlignmentError(f"scores must be vectors, got shapes {score1.shape} and {score2.shape}")
     if len(score1) != len(score2):
         raise AlignmentError(f"length mismatch: {len(score1)} vs {len(score2)}")
     ids = _default_ids(len(score1), model_ids)

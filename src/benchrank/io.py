@@ -73,7 +73,10 @@ def _read(path: str | Path, binary: bool = False) -> str | bytes:
     """A file's (or :class:`_Input`'s) bytes, or its text as ``open`` reads it; a bad file raises :class:`LoadError`."""
     try:
         data = (path.data if binary else vars(path).pop("data")) if type(path) is _Input else Path(path).read_bytes()
-        return data if binary else data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        if binary:
+            return data
+        text = data.decode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     except FileNotFoundError:
         raise LoadError(f"{path}: file not found") from None
     except UnicodeDecodeError as e:

@@ -25,13 +25,15 @@ every cell at once; the streams, and so the output, are identical to the
 ones per-cell ``SeedSequence`` objects give.
 
 ``generate`` then makes one flat pass over the cells in row-major order.
-Everything that does not change along a row (loading, bias, uplift, item
-count) is a Python number read once per row, the capabilities are one
-Python list, and the scores collect in lists that become arrays at the
-end, so the per-cell arithmetic is plain float arithmetic: it overflows
-to +-inf without a warning and rounds as numpy's float64 does.  What is
-left per cell is the layout's fixed cost: two ``PCG64`` and two
-``Generator`` objects, one normal and one binomial draw.
+Per cell it keeps only the layout's fixed cost, two ``PCG64`` and two
+``Generator`` objects (one ``_SeedFeed`` hands them their seed rows in
+order), one normal and one binomial draw, and the logistic in Python
+floats with ``math.exp``, which rounds as libm does (numpy's SIMD ``exp``
+need not) and overflows to +-inf without a warning.  Loading, bias,
+uplift and item count are Python numbers read once per row.  Only the
+binomial counts are kept: the scores, count / n, and the stderrs,
+sqrt(s (1 - s) / n), are then one numpy pass of the same correctly
+rounded operations per cell.
 """
 
 from __future__ import annotations
@@ -174,13 +176,6 @@ class SyntheticConfig:
         return tuple(f"model{j:0{width}d}" for j in range(self.n_models))
 
 
-def _logistic(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 # numpy.random.SeedSequence's hash: 32-bit words, a pool of 4, and the
 # multipliers of its entropy mixing (A), output (B) and pool mix (L, R).
 _MASK32 = 0xFFFFFFFF
@@ -252,17 +247,18 @@ def _cell_seed_words(seed: int, nb: int, nm: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _PresetSeed(ISeedSequence):
-    """Seeds a PCG64 with one precomputed row of ``_cell_seed_words``.
+class _SeedFeed(ISeedSequence):
+    """Seeds successive PCG64s with successive rows of a (cells, 4) array of seed words.
 
-    PCG64 asks its seed sequence for exactly 4 uint64 words, which the row is.
+    PCG64 calls ``generate_state`` exactly once, while it is constructed, for
+    4 uint64 words, so the k-th ``PCG64(feed)`` built gets the k-th row.
     """
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self._rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        return next(self._rows)
 
 
 def generate(cfg: SyntheticConfig, mode: str) -> ScoreMatrix:
@@ -283,26 +279,30 @@ def generate(cfg: SyntheticConfig, mode: str) -> ScoreMatrix:
     prep_sd = cfg.prep_sd
     prep_scale = 1.0 if direct else cfg.residual_prep
     # the cells' seed rows in row-major order: (i, j, 0), (i, j, 1), (i, j + 1, 0), ...
-    seeds = map(_PresetSeed, _cell_seed_words(cfg.seed, nb, nm).reshape(-1, 4))
-    Generator, PCG64 = np.random.Generator, np.random.PCG64
-    scores, stderrs = [], []
+    feed = _SeedFeed(_cell_seed_words(cfg.seed, nb, nm).reshape(-1, 4))
+    Generator, PCG64, exp = np.random.Generator, np.random.PCG64, math.exp
+    counts = []
     try:
         for a, b, shift, n in zip(cfg.loadings().tolist(), cfg.biases().tolist(), shifts, items):
-            fn = float(n)  # a binomial count over float(n), as an int64 n divides
-            for gj, prep_seed, binom_seed in zip(g, seeds, seeds):
-                prep = prep_sd * Generator(PCG64(prep_seed)).standard_normal()
-                q = _logistic(a * gj + b + prep * prep_scale + shift)
-                score = Generator(PCG64(binom_seed)).binomial(n, q) / fn
-                scores.append(score)
-                stderrs.append(math.sqrt(score * (1.0 - score) / fn))
+            for gj in g:
+                z = a * gj + b + prep_sd * Generator(PCG64(feed)).standard_normal() * prep_scale + shift
+                if z >= 0:
+                    q = 1.0 / (1.0 + exp(-z))
+                else:
+                    ez = exp(z)
+                    q = ez / (1.0 + ez)
+                counts.append(Generator(PCG64(feed)).binomial(n, q))
     except ValueError as e:  # binomial refuses a NaN success probability
-        i, j = divmod(len(scores), nm)
+        i, j = divmod(len(counts), nm)
         raise ValueError(f"benchmark {cfg.benchmark_ids()[i]}, model {cfg.model_ids()[j]}: {e}") from None
+    # np.array makes each Python int the float64 that float() makes: every score is float(count) / float(n)
+    fn = np.array(items, dtype=float)[:, None]
+    scores = np.array(counts, dtype=float).reshape(nb, nm) / fn
     return make_score_matrix(
         cfg.benchmark_ids(),
         cfg.model_ids(),
-        np.array(scores).reshape(nb, nm),
-        np.array(stderrs).reshape(nb, nm),
+        scores,
+        np.sqrt(scores * (1.0 - scores) / fn),
         n_items=items,
         direction="higher",
     )

@@ -35,6 +35,8 @@ CORE_TESTS = ("tests/test_rankstats.py", "tests/test_alignment.py", "tests/test_
 IO_TESTS = ("tests/test_io.py",)
 CLI_TESTS = ("tests/test_cli.py",)
 GOLDEN_TESTS = ("tests/test_golden.py",)
+SYNTH_TESTS = ("tests/test_synth.py",)
+LOWRANK_TESTS = ("tests/test_lowrank.py",)
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,58 @@ MUTANTS = [
         "src/benchrank/cli.py",
         "_perplexity_block(am, ppl) for name, am in ams.items()",
         '_perplexity_block(ams["direct"], ppl) for name in ams',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "rank-models-takes-non-vectors",
+        "src/benchrank/alignment.py",
+        "    if score1.ndim != 1 or score2.ndim != 1:\n",
+        "    if False:\n",
+    ),
+    Mutant(
+        "newline-rewrite-only-for-crlf",
+        "src/benchrank/io.py",
+        'if "\\r" in text else text',
+        'if "\\r\\n" in text else text',
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "synth-stderr-one-plus-score",
+        "src/benchrank/synth.py",
+        "np.sqrt(scores * (1.0 - scores) / fn)",
+        "np.sqrt(scores * (1.0 + scores) / fn)",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth-divisor-along-models",
+        "src/benchrank/synth.py",
+        "fn = np.array(items, dtype=float)[:, None]",
+        "fn = np.array(items, dtype=float)[None, :]",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth-logistic-z-gt-zero",
+        "src/benchrank/synth.py",
+        "                if z >= 0:\n",
+        "                if z > 0:\n",
+        equivalent=(
+            "the branches differ only at z = +-0, where both give exactly 0.5: "
+            "1 / (1 + exp(-0)) and exp(0) / (1 + exp(0)) are both 1 / 2"
+        ),
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "pca-unstable-eigenvalue-sort",
+        "src/benchrank/lowrank.py",
+        'order = np.argsort(-eigvals, kind="stable")',
+        "order = np.argsort(-eigvals)",
+        tests=LOWRANK_TESTS,
+    ),
+    Mutant(
+        "pc1-sign-anchor-flipped",
+        "src/benchrank/lowrank.py",
+        "if anchor < 0.0 or (anchor == 0.0 and lead < 0.0):",
+        "if anchor > 0.0 or (anchor == 0.0 and lead < 0.0):",
         tests=CLI_TESTS,
     ),
 ]

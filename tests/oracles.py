@@ -156,6 +156,48 @@ def report_means_oracle(matrices: dict[str, ScoreMatrix], categories: list[Bench
     }
 
 
+#: Relative gap (lambda_0 - lambda_1) / lambda_0 at or below which :func:`pca_oracle` calls the top eigenvalue tied.
+TIED_GAP = 1e-9
+
+
+def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
+    """``fit_pca(m, "center")`` by an SVD of the centred data, not ``eigh`` of its covariance.
+
+    The data are models, in ``model_ids``' order, by benchmarks, each
+    benchmark centred on its ``math.fsum`` mean.  With singular values s
+    and left singular vectors u, the eigenvalues are s^2 / (n_models - 1),
+    zero-padded to one per benchmark, and the ratios are each over their
+    ``math.fsum``.  ``pc1`` is s_0 u_0, signed so that it correlates
+    non-negatively with each model's mean centred score, ``means``;
+    ``anchor`` is the cosine between u_0 and those means, so near 0 the
+    sign is the first loading's, which the oracle does not decide.  ``gap``
+    is the relative gap of the top eigenvalue; at or below ``TIED_GAP``
+    there is no single first component, and ``pc1_space`` holds the left
+    singular vectors of every eigenvalue tied with the top one, as columns.
+    """
+    nb, nm = m.scores.shape
+    rows = [[float(row[m.model_ids.index(mod)]) for mod in model_ids] for row in m.scores]
+    x = np.array([[v - math.fsum(row) / nm for v in row] for row in rows]).T
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    lam = [float(v) ** 2 / (nm - 1) for v in s] + [0.0] * (nb - len(s))
+    total = math.fsum(lam)
+    evr = [v / total for v in lam]
+    means = [math.fsum(row) / nb for row in x.tolist()]
+    anchor = float(u[:, 0] @ means) / (math.hypot(*means) or 1.0)
+    gap = (lam[0] - lam[1]) / lam[0]
+    tied = [k for k in range(len(s)) if (lam[0] - lam[k]) / lam[0] <= TIED_GAP]
+    return {
+        "eigenvalues": lam,
+        "explained_variance_ratio": evr,
+        "top5_share": math.fsum(evr[:5]),
+        "pc1": ((-1.0 if anchor < 0.0 else 1.0) * float(s[0]) * u[:, 0]).tolist(),
+        "means": means,
+        "anchor": anchor,
+        "gap": gap,
+        "pc1_space": u[:, tied],
+    }
+
+
 def _linear_extensions(model_ids: tuple[Hashable, ...], edges) -> list[tuple[Hashable, ...]]:
     succ = {m: [] for m in model_ids}
     indeg = {m: 0 for m in model_ids}

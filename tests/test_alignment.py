@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import groupby, product
 
 import numpy as np
@@ -280,6 +281,13 @@ class TestParallelGreedyRank:
         with pytest.raises(AlignmentError, match="^score vectors must match the model list$"):
             parallel_greedy_rank(ids, chain(ids), chain(ids), [1, 0, 2], [1, 0])
 
+    @pytest.mark.parametrize("bad", [1.0, [[1.0, 0.0]], [[1.0], [0.0]]], ids=["0-d", "1x2", "2x1"])
+    def test_non_vector_scores_rejected(self, bad):
+        ids = ("A", "B")
+        for s1, s2 in ((bad, [1.0, 0.0]), ([1.0, 0.0], bad)):
+            with pytest.raises(AlignmentError, match="^score vectors must match the model list$"):
+                parallel_greedy_rank(ids, chain(ids), chain(ids), s1, s2)
+
     def test_cyclic_graph_detected(self):
         ids = ("A", "B")
         cyclic = PartialOrder.from_edges(ids, frozenset({("A", "B"), ("B", "A")}))
@@ -339,6 +347,14 @@ class TestRankModels:
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
             rank_models([1, 2], [0, 0], [1, 2, 3], [0, 0, 0], CFG)
+
+    @pytest.mark.parametrize("bad", [1.0, [[1.0, 2.0]], [[1.0], [2.0]]], ids=["0-d", "1x2", "2x1"])
+    def test_non_vector_scores_rejected(self, bad):
+        se, shape = np.zeros(np.shape(bad)), re.escape(str(np.shape(bad)))
+        with pytest.raises(AlignmentError, match=rf"^scores must be vectors, got shapes {shape} and \(2,\)$"):
+            rank_models(bad, se, [1.0, 2.0], [0.0, 0.0], CFG)
+        with pytest.raises(AlignmentError, match=rf"^scores must be vectors, got shapes \(2,\) and {shape}$"):
+            rank_models([1.0, 2.0], [0.0, 0.0], bad, se, CFG)
 
     def test_model_id_count_mismatch(self):
         with pytest.raises(AlignmentError, match="^2 model ids for 3 scores$"):

@@ -1,19 +1,21 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchrank import __version__, cli
 from benchrank.cli import run_cli
 from benchrank.core import CATEGORIES
-from benchrank.io import file_sha256, load_artifact, load_benchmark_categories, load_scores
+from benchrank.io import file_sha256, load_artifact, load_benchmark_categories, load_model_metadata, load_scores
+from benchrank.rankstats import SignificanceConfig
 from benchrank.synth import SyntheticConfig
 
-from oracles import generate_oracle, report_means_oracle
+from oracles import TIED_GAP, generate_oracle, pca_oracle, report_means_oracle, taub_oracle
 
 SIM_CONFIG = {
     "n_models": 8,
@@ -844,21 +846,57 @@ def report_inputs(draw) -> dict[str, str]:
     return files
 
 
-#: Absolute bound on a mean field against the ``math.fsum`` mean of the same
-#: tau-b cells, which equal the oracle's exactly.  ``np.mean`` sums n <= 21
-#: cells (7 benchmarks) of |tau| <= 1 with an error below (n - 1) * 2^-53 * n,
-#: so a mean is off by under 20 * 2^-53, about 2.2e-15, plus one rounding of
-#: the quotient.
-MEAN_FIELD_TOL = dict.fromkeys(("means", "overall_mean", "ppl_vs_ppl_mean", "ppl_vs_downstream_mean", "values"), 1e-14)
+#: ``report_inputs`` of 4 models whose two benchmarks are orthogonal and of
+#: equal variance once centred, so the top eigenvalue is exactly tied
+TIED_TOP_FILES = {
+    "cats.csv": "benchmark,category\nb0,LU\nb1,LU\n",
+    **dict.fromkeys(
+        ("direct.csv", "tbt.csv"),
+        "benchmark,model,score,stderr,n,direction\n"
+        + "".join(f"b{i},m{j},{v},0.0,,higher\n" for i, row in enumerate(["0101", "0011"]) for j, v in enumerate(row)),
+    ),
+    "models.csv": "model,family,params_b,tokens_b,instruction_tuned\n"
+    + "".join(f"m{j},synth,{j + 1}.0,10.0,false\n" for j in range(4)),
+}
+
+
+#: Absolute bound on a float field against its oracle value, by field name.
+FIELD_TOL = {
+    # a mean against the ``math.fsum`` mean of the same tau-b cells, which
+    # equal the oracle's exactly.  ``np.mean`` sums n <= 21 cells (7
+    # benchmarks) of |tau| <= 1 with an error below (n - 1) * 2^-53 * n, so a
+    # mean is off by under 20 * 2^-53, about 2.2e-15, plus one rounding of
+    # the quotient.
+    **dict.fromkeys(("means", "overall_mean", "ppl_vs_ppl_mean", "ppl_vs_downstream_mean", "values"), 1e-14),
+    # against ``pca_oracle``'s SVD, a different LAPACK route from ``eigh`` of
+    # the covariance.  Both are backward stable, off by a few ulps of the
+    # largest eigenvalue, and scores in [0, 1] at <= 7 benchmarks keep it
+    # below 7 * 3/8; a ratio's error is that over the total variance, which
+    # is at least the largest eigenvalue, and top5_share sums five of them.
+    **dict.fromkeys(("eigenvalues", "explained_variance_ratio", "top5_share"), 1e-13),
+    # math.log10 of 6, params and tokens, plus 18, against numpy's log10 of
+    # the decimal product: a few roundings of about 3.6e-15 each at 20
+    "log10_flops": 1e-13,
+}
+
+#: A pc1 entry's bound, relative to s_0 / gap: the first component's error
+#: grows as the inverse of the top eigenvalue's relative gap.  In 20,000
+#: random draws of ``report_inputs``' shapes and grid, every gap was either
+#: an exact tie or above 1e-3.
+PC1_TOL = 1e-12
+#: The anchor cosine at or below which either sign of pc1 is accepted.  In
+#: 50,000 such random draws every cosine was either below 1e-14 (pc1
+#: orthogonal to the mean score) or above 1e-6.
+ANCHOR_TOL = 1e-9
 
 
 def assert_matches(got, want, tol=None):
-    """``got`` has ``want``'s structure and types; floats under a field of ``MEAN_FIELD_TOL`` within its bound, the rest equal."""
+    """``got`` has ``want``'s structure and types; floats under a field of ``FIELD_TOL`` within its bound, the rest equal."""
     assert type(got) is type(want)
     if isinstance(want, dict):
         assert list(got) == list(want)
         for key in want:
-            assert_matches(got[key], want[key], MEAN_FIELD_TOL.get(key, tol))
+            assert_matches(got[key], want[key], FIELD_TOL.get(key, tol))
     elif isinstance(want, list):
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -869,19 +907,69 @@ def assert_matches(got, want, tol=None):
         assert got == want
 
 
+def assert_pc1_matches(column, want):
+    """A pc1 column against ``pca_oracle``'s: in the top eigenspace with norm s_0 and a non-negative anchor when tied, else entrywise."""
+    got, ref = np.array(column), np.array(want["pc1"])
+    s0 = float(np.linalg.norm(ref))
+    if want["gap"] <= TIED_GAP:
+        space = want["pc1_space"]
+        assert abs(float(np.linalg.norm(got)) - s0) <= PC1_TOL * s0
+        assert np.abs(got - space @ (space.T @ got)).max() <= PC1_TOL * s0
+        assert float(got @ want["means"]) >= -PC1_TOL * s0 * float(np.linalg.norm(want["means"]))
+        return
+    tol = PC1_TOL * s0 / want["gap"]
+    if abs(want["anchor"]) <= ANCHOR_TOL:
+        assert min(np.abs(got - ref).max(), np.abs(got + ref).max()) <= tol
+    else:
+        assert np.abs(got - ref).max() <= tol
+
+
 class TestReportOracle:
+    @staticmethod
+    def run_report(files, work: Path) -> dict:
+        """Write the input files to ``work``, run ``report`` there, and return the parsed score matrices by mode."""
+        for name, text in files.items():
+            (work / name).write_text(text, encoding="utf-8")
+        argv = [str(work / a) if a in files or a == "rep" else a for a in REPORT_ARGV]
+        assert run_cli(argv) == 0
+        return {"direct": load_scores(work / "direct.csv"), "train_before_test": load_scores(work / "tbt.csv")}
+
     @settings(max_examples=60, deadline=None)
     @given(report_inputs())
     def test_mean_and_category_tables_match_the_oracle(self, files):
         with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
             work = Path(tmp)
-            for name, text in files.items():
-                (work / name).write_text(text, encoding="utf-8")
-            argv = [str(work / a) if a in files or a == "rep" else a for a in REPORT_ARGV]
-            assert run_cli(argv) == 0
-            matrices = {"direct": load_scores(work / "direct.csv"), "train_before_test": load_scores(work / "tbt.csv")}
+            matrices = self.run_report(files, work)
             want = report_means_oracle(matrices, load_benchmark_categories(work / "cats.csv"))
             for kind, fields in want.items():
                 payload = load_artifact(work / "rep" / f"{kind}.json")
                 envelope = ("format_version", "kind", "manifest")
                 assert_matches({k: v for k, v in payload.items() if k not in envelope}, fields)
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_inputs())
+    @example(TIED_TOP_FILES)
+    def test_evr_and_pc1_tables_match_an_svd(self, files):
+        with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
+            work = Path(tmp)
+            matrices = self.run_report(files, work)
+            metadata = load_model_metadata(work / "models.csv")
+            evr, pc1 = (load_artifact(work / "rep" / f"{kind}.json") for kind in ("evr", "pc1_compute"))
+        # every drawn model has a token count, so pc1_compute lists them all, in the direct file's order
+        models = matrices["direct"].model_ids
+        want = {name: pca_oracle(m, models) for name, m in matrices.items()}
+        assert evr["preprocessing"] == "center"
+        fields = ("eigenvalues", "explained_variance_ratio", "top5_share")
+        assert_matches(evr["modes"], {name: {k: w[k] for k in fields} for name, w in want.items()})
+        flops = {r.model_id: (r.param_count, r.token_count) for r in metadata}
+        log10 = [math.log10(6.0) + math.log10(flops[mod][0]) + math.log10(flops[mod][1]) + 18.0 for mod in models]
+        rows = pc1["models"]
+        assert_matches(
+            [{k: row[k] for k in ("model", "log10_flops")} for row in rows],
+            [{"model": mod, "log10_flops": v} for mod, v in zip(models, log10)],
+        )
+        zeros = [0.0] * len(rows)
+        for name, w in want.items():
+            column = [row[f"pc1_{name}"] for row in rows]
+            assert_pc1_matches(column, w)
+            assert pc1["tau"][name] == taub_oracle(column, zeros, log10, zeros, SignificanceConfig())

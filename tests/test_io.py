@@ -331,6 +331,15 @@ def _accepts(kind: type, pad: str, core: str) -> bool:
         return False
 
 
+#: line endings other than "\n", each a cycle of line terminators
+LINE_ENDS = {"crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\r\n", "\r", "\n"]}
+
+
+def _with_line_ends(lines: list[str], ends: list[str]) -> bytes:
+    """``lines`` ended by the terminators of ``ends`` in turn, as UTF-8."""
+    return "".join(line + ends[k % len(ends)] for k, line in enumerate(lines)).encode()
+
+
 def _refuse_per_row(monkeypatch):
     """Make any fall back to the per-row loop fail the test."""
 
@@ -496,6 +505,28 @@ class TestColumnarLoader:
     def test_crlf_json_error_gives_the_position_in_the_text_open_reads(self, tmp_path):
         p = tmp_path / "s.json"
         p.write_bytes(b'{"scores":\r\n [1,\r\n x]}')
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(p.read_text(encoding="utf-8"))
+        with pytest.raises(LoadError) as got:
+            load_scores(p)
+        assert str(got.value) == f"{p}: invalid JSON: {want.value}"
+
+    @pytest.mark.parametrize("ends", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_line_endings_load_like_their_newline_twins(self, tmp_path, suffix, ends):
+        twin = tmp_path / f"lf{suffix}"
+        save_scores(twin, sample_matrix())
+        lines = twin.read_text().split("\n")
+        assert lines.pop() == ""
+        p = tmp_path / f"other{suffix}"
+        p.write_bytes(_with_line_ends(lines, ends))
+        assert _outcome(lambda: load_scores(p)) == _outcome(lambda: load_scores(twin))
+
+    @pytest.mark.parametrize("ends", [LINE_ENDS["cr"], LINE_ENDS["mixed"]], ids=["cr", "mixed"])
+    def test_json_error_with_lone_cr_gives_the_position_in_the_text_open_reads(self, tmp_path, ends):
+        # json counts lines by "\n" alone, so a lone "\r" must become one as open() makes it
+        p = tmp_path / "s.json"
+        p.write_bytes(_with_line_ends(['{"scores":', " [1,", " x]}"], ends))
         with pytest.raises(json.JSONDecodeError) as want:
             json.loads(p.read_text(encoding="utf-8"))
         with pytest.raises(LoadError) as got:

@@ -127,6 +127,25 @@ class TestFitPca:
         assert np.allclose(r.components[:, 0], [s, -s], atol=1e-12)
         assert np.allclose(r.pc1_scores, [-3 * s, -s, s, 3 * s], atol=1e-12)
 
+    def test_tied_eigenvalues_keep_eigh_order(self):
+        # Hadamard rows make the centred benchmarks orthogonal, so the covariance
+        # is exactly diagonal with two tied pairs, the top one included.  Tied
+        # eigenvectors keep eigh's order, so pc1 and the components are the ones
+        # of a stable sort; an unstable one (numpy's SIMD quicksort reorders
+        # ties even at n = 4) would project pc1 on benchmark b3 instead of b1.
+        h = np.array(
+            [[1, -1, 1, -1, 1, -1, 1, -1], [1, 1, -1, -1, 1, 1, -1, -1], [1, -1, -1, 1, 1, -1, -1, 1], [1, 1, 1, 1, -1, -1, -1, -1]],
+            dtype=float,
+        )
+        scores = 0.5 + 0.125 * np.array([h[2], 2 * h[0], h[3], 2 * h[1]])
+        r = fit_pca(matrix(scores))
+        x = scores.T - scores.T.mean(axis=0)
+        w, v = np.linalg.eigh(x.T @ x / 7)
+        assert w[0] == w[1] < w[2] == w[3]
+        assert np.array_equal(r.eigenvalues, w[[2, 3, 0, 1]])
+        assert np.array_equal(r.components, v[:, [2, 3, 0, 1]])
+        assert np.array_equal(r.pc1_scores, x @ v[:, 2]) and np.array_equal(r.pc1_scores, x[:, 1])
+
     def test_wide_rank_deficient(self):
         # more benchmarks than models: at most n_models - 1 nonzero eigenvalues
         rng = np.random.default_rng(13)
