@@ -91,7 +91,7 @@ class _Split(NamedTuple):
 
     Coordinate c is model ``order[c]`` (a position in ``model_ids``).  Row c
     beats every column from ``stop[c]`` on, and the band columns
-    ``band[start[c] : start[c + 1]]``, ascending and below ``stop[c]``.
+    ``band[start[c] : start[c + 1]]``, all below ``stop[c]``.
     """
 
     order: np.ndarray
@@ -108,9 +108,6 @@ class PartialOrder:
     construction, since every edge points from a strictly higher oriented
     score to a strictly lower one; or with :meth:`from_edges`, whose
     coordinates are the identity and whose edges all lie in the band.
-    Edge k means model ``winners[k]`` significantly beats ``losers[k]``;
-    both arrays are built on first access, row by row in coordinate order,
-    each row's band columns and then its suffix.
     """
 
     def __init__(self, model_ids: tuple[Hashable, ...], split: _Split):
@@ -134,8 +131,8 @@ class PartialOrder:
         return cls(ids, _Split(np.arange(n), np.full(n, n), ends[:, 1], start))
 
     @cached_property
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(winners, losers) of a split order: row by row, each row's band columns and then its suffix."""
+    def edges(self) -> frozenset[tuple[Hashable, Hashable]]:
+        """The edges as (winner id, loser id) pairs, built on first access."""
         order, stop, band, start = self._split
         n_band = np.diff(start)
         counts = n_band + (len(order) - stop)
@@ -143,21 +140,8 @@ class PartialOrder:
         at = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         cols = at - n_band[rows] + stop[rows]
         cols[at < n_band[rows]] = band
-        return order[rows], order[cols]
-
-    @cached_property
-    def winners(self) -> np.ndarray:
-        return self._ends[0]
-
-    @cached_property
-    def losers(self) -> np.ndarray:
-        return self._ends[1]
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[Hashable, Hashable]]:
-        """The edges as (winner id, loser id) pairs, built on first access."""
-        at = self.model_ids.__getitem__
-        return frozenset(zip(map(at, self.winners.tolist()), map(at, self.losers.tolist())))
+        ids = self.model_ids.__getitem__
+        return frozenset(zip(map(ids, order[rows].tolist()), map(ids, order[cols].tolist())))
 
     @property
     def n_models(self) -> int:
@@ -209,7 +193,7 @@ def build_partial_order(
     if len(scores) < 1:
         raise AlignmentError("need at least one model")
     ids = _default_ids(len(scores), model_ids)
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     s, var = scores[order], _variances(stderrs[order])
     m, z = len(s), cfg.critical_z
     first, stop = _thresholds(s, var, z)
@@ -289,7 +273,7 @@ class _Frontier:
         self.indeg = np.bincount(band, minlength=n).tolist()
         self.placed = [False] * n
         # rows by suffix start; rows before ``self.next`` in it are all placed
-        self.by_stop = np.argsort(stop, kind="stable").tolist() + [None]
+        self.by_stop = np.argsort(stop).tolist() + [None]
         self.next, self.bound = 0, 0
         self.available: set[int] = set()
         self._advance()

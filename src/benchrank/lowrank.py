@@ -61,8 +61,8 @@ class ComputeRecord:
             raise ValueError(f"model {self.model_id!r}: flops must be > 0, got {self.flops}")
 
 
-def _preprocess(m: ScoreMatrix, preprocessing: str) -> np.ndarray:
-    """Models-by-benchmarks data matrix, mean-centered (and scaled under zscore)."""
+def _preprocess(m: ScoreMatrix, preprocessing: str) -> tuple[np.ndarray, np.ndarray | float]:
+    """Models-by-benchmarks data matrix, mean-centered (and scaled under zscore), and its benchmarks' scale."""
     if preprocessing not in PREPROCESSINGS:
         raise ValueError(f"preprocessing must be one of {PREPROCESSINGS}, got {preprocessing!r}")
     x = np.array(m.scores.T, dtype=float)
@@ -81,7 +81,8 @@ def _preprocess(m: ScoreMatrix, preprocessing: str) -> np.ndarray:
                 f"benchmark {m.benchmark_ids[int(zero[0])]!r} has zero variance; zscore undefined"
             )
         x /= sd
-    return x
+        return x, sd
+    return x, 1.0
 
 
 def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
@@ -92,13 +93,18 @@ def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
     The spectrum of an all-constant matrix is entirely zero, which leaves
     the variance ratios undefined; that case raises, as do scores whose
     squares overflow float64 in the standard deviation or the covariance.
+    pc1's sign makes it correlate positively with the models' mean scores,
+    or, where it is orthogonal to them or every model's mean is the same,
+    makes its first nonzero loading positive.  At an exactly tied top
+    eigenvalue pc1 is eigh's first eigenvector of the tied space.
     """
     if m.n_models < 2 or m.n_benchmarks < 2:
         raise ValueError(f"need >= 2 models and >= 2 benchmarks, got {m.n_models} x {m.n_benchmarks}")
     # overflow is reported by the finiteness checks, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _preprocess(m, preprocessing)
+        x, scale = _preprocess(m, preprocessing)
         cov = x.T @ x / (m.n_models - 1)
+        means = (m.scores.T / scale).mean(axis=1)
     if not np.isfinite(cov).all():
         raise ValueError("benchmark covariance overflows float64; scores too large in magnitude")
     eigvals, vecs = np.linalg.eigh(cov)
@@ -111,9 +117,10 @@ def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
         raise ValueError("zero total variance: every benchmark is constant across models")
     evr = eigvals / total
     pc1 = x @ vecs[:, 0]
-    # eigenvectors are sign-ambiguous; anchor pc1 to the mean-score direction
-    # (or, when pc1 is orthogonal to it, to a positive first nonzero loading)
-    anchor = float(pc1 @ x.mean(axis=1))
+    # eigenvectors are sign-ambiguous; anchor pc1 to the mean-score direction (or, when pc1 is
+    # orthogonal to it, to a positive first nonzero loading).  Equal means are read from the
+    # uncentred scores: the means of x hold rounding noise there, which would decide the sign.
+    anchor = 0.0 if (means == means[0]).all() else float(pc1 @ x.mean(axis=1))
     lead = vecs[np.flatnonzero(vecs[:, 0])[0], 0]
     if anchor < 0.0 or (anchor == 0.0 and lead < 0.0):
         vecs[:, 0] = -vecs[:, 0]

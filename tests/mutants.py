@@ -80,11 +80,18 @@ MUTANTS = [
         "(n_sig[:, None] == 0) | (n_sig == 0)",
         "(n_sig[:, None] == 0) & (n_sig == 0)",
     ),
+    Mutant("edges-without-band", "src/benchrank/alignment.py", "        cols[at < n_band[rows]] = band\n", ""),
     Mutant(
-        "partial-order-unstable-sort",
+        "from-edges-suffix-at-last-column",
         "src/benchrank/alignment.py",
-        'order = np.argsort(-scores, kind="stable")',
-        "order = np.argsort(-scores)",
+        "np.full(n, n)",
+        "np.full(n, n - 1)",
+    ),
+    Mutant(
+        "frontier-stops-descending",
+        "src/benchrank/alignment.py",
+        "np.argsort(stop)",
+        "np.argsort(-stop)",
     ),
     Mutant(
         "band-rows-side-left",
@@ -201,6 +208,27 @@ MUTANTS = [
         'order = np.argsort(-eigvals, kind="stable")',
         "order = np.argsort(-eigvals)",
         tests=LOWRANK_TESTS,
+    ),
+    Mutant(
+        "pc1-anchor-on-centred-means-at-a-tie",
+        "src/benchrank/lowrank.py",
+        "anchor = 0.0 if (means == means[0]).all() else float(pc1 @ x.mean(axis=1))",
+        "anchor = float(pc1 @ x.mean(axis=1))",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "alignment-table-stderr2-of-task-1",
+        "src/benchrank/cli.py",
+        '"stderr2": stderr2[j]',
+        '"stderr2": stderr1[j]',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "agree-ignores-alpha",
+        "src/benchrank/cli.py",
+        'agreement_matrix(m, method=args.method.replace("-", "_"), cfg=cfg)',
+        'agreement_matrix(m, method=args.method.replace("-", "_"), cfg=SignificanceConfig())',
+        tests=CLI_TESTS,
     ),
     Mutant(
         "pc1-sign-anchor-flipped",

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Hashable
 
@@ -84,6 +85,14 @@ def taub_oracle(x, se_x, y, se_y, cfg: SignificanceConfig) -> float | Degenerate
     return (c - d) / math.sqrt((c + d + tx) * (c + d + ty))
 
 
+def _oriented(m: ScoreMatrix, b: str, models) -> tuple[list[float], list[float]]:
+    """Benchmark ``b``'s scores, negated on a lower-is-better row, and its stderrs, listed in ``models``' order."""
+    i = m.benchmark_ids.index(b)
+    sign = -1.0 if m.direction[i] == "lower" else 1.0
+    cols = [m.model_ids.index(mod) for mod in models]
+    return [sign * float(m.scores[i, j]) for j in cols], [float(m.stderrs[i, j]) for j in cols]
+
+
 def _fsum_mean(cells) -> tuple[float | None, int]:
     """``math.fsum`` mean of the non-degenerate cells (None if there is none) and the number of degenerate ones."""
     kept = [c for c in cells if c is not DEGENERATE]
@@ -110,11 +119,7 @@ def report_means_oracle(matrices: dict[str, ScoreMatrix], categories: list[Bench
     members = {c: [i for i in range(nb) if cat_of[bench[i]] == c] for c in present}
     means, blocks, cats = {}, {}, {}
     for name, m in matrices.items():
-        rows = []
-        for b in bench:
-            i = m.benchmark_ids.index(b)
-            sign = -1.0 if m.direction[i] == "lower" else 1.0
-            rows.append([sign * float(m.scores[i, m.model_ids.index(mod)]) for mod in models])
+        rows = [_oriented(m, b, models)[0] for b in bench]
         tau = {}
         for i in range(nb):
             for j in range(i + 1, nb):
@@ -167,10 +172,14 @@ def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
     benchmark centred on its ``math.fsum`` mean.  With singular values s
     and left singular vectors u, the eigenvalues are s^2 / (n_models - 1),
     zero-padded to one per benchmark, and the ratios are each over their
-    ``math.fsum``.  ``pc1`` is s_0 u_0, signed so that it correlates
-    non-negatively with each model's mean centred score, ``means``;
-    ``anchor`` is the cosine between u_0 and those means, so near 0 the
-    sign is the first loading's, which the oracle does not decide.  ``gap``
+    ``math.fsum``.  ``means`` are the models' mean scores less their
+    average, computed exactly in fractions and then rounded, so they are
+    all 0 exactly when every model has the same mean.  ``pc1`` is
+    s_0 u_0, signed so that it correlates non-negatively with ``means``;
+    ``anchor`` is the cosine between u_0 and them, so near 0 the program's
+    sign comes from rounding noise or its first nonzero loading, which the
+    oracle does not decide.  Where ``means`` are all 0, ``anchor`` is 0 and
+    pc1 is signed so that ``lead``, its first loading, is non-negative.  ``gap``
     is the relative gap of the top eigenvalue; at or below ``TIED_GAP``
     there is no single first component, and ``pc1_space`` holds the left
     singular vectors of every eigenvalue tied with the top one, as columns.
@@ -178,21 +187,25 @@ def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
     nb, nm = m.scores.shape
     rows = [[float(row[m.model_ids.index(mod)]) for mod in model_ids] for row in m.scores]
     x = np.array([[v - math.fsum(row) / nm for v in row] for row in rows]).T
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     lam = [float(v) ** 2 / (nm - 1) for v in s] + [0.0] * (nb - len(s))
     total = math.fsum(lam)
     evr = [v / total for v in lam]
-    means = [math.fsum(row) / nb for row in x.tolist()]
+    exact = [sum(map(Fraction, col)) / nb for col in zip(*rows)]
+    means = [float(v - sum(exact) / nm) for v in exact]
     anchor = float(u[:, 0] @ means) / (math.hypot(*means) or 1.0)
+    lead = float(vt[0, 0])
+    sign = -1.0 if anchor < 0.0 or (not any(means) and lead < 0.0) else 1.0
     gap = (lam[0] - lam[1]) / lam[0]
     tied = [k for k in range(len(s)) if (lam[0] - lam[k]) / lam[0] <= TIED_GAP]
     return {
         "eigenvalues": lam,
         "explained_variance_ratio": evr,
         "top5_share": math.fsum(evr[:5]),
-        "pc1": ((-1.0 if anchor < 0.0 else 1.0) * float(s[0]) * u[:, 0]).tolist(),
+        "pc1": (sign * float(s[0]) * u[:, 0]).tolist(),
         "means": means,
         "anchor": anchor,
+        "lead": sign * lead,
         "gap": gap,
         "pc1_space": u[:, tied],
     }
@@ -334,6 +347,71 @@ def greedy_oracle(
         f1.remove(m1)
         f2.remove(m2)
     return tuple(order1), tuple(order2)
+
+
+def agree_oracle(m: ScoreMatrix, method: str, cfg: SignificanceConfig) -> dict:
+    """The fields of ``agree``'s artifact after ``method`` and ``alpha``, from one oracle call per cell.
+
+    A cell is :func:`tau_oracle` under ``"tau"`` and :func:`taub_oracle` on
+    the stderrs under ``"tau-b"``, on scores negated on lower-is-better
+    rows; a degenerate cell is None.  A benchmark's ``mean`` is the
+    ``math.fsum`` mean of its defined off-diagonal cells, None when it has
+    none, where ``agree`` exits 3.
+    """
+    bench, nb = list(m.benchmark_ids), m.n_benchmarks
+    rows = [_oriented(m, b, m.model_ids) for b in bench]
+    tau = {}
+    for i, j in combinations(range(nb), 2):
+        (x, se_x), (y, se_y) = rows[i], rows[j]
+        cell = tau_oracle(x, y) if method == "tau" else taub_oracle(x, se_x, y, se_y, cfg)
+        tau[i, j] = tau[j, i] = cell
+    tau.update(((i, i), 1.0) for i in range(nb))
+    per_row = [_fsum_mean([tau[i, j] for j in range(nb) if j != i]) for i in range(nb)]
+    return {
+        "benchmark_ids": bench,
+        "values": [[None if tau[i, j] is DEGENERATE else tau[i, j] for j in range(nb)] for i in range(nb)],
+        "n_degenerate_cells": sum(tau[i, j] is DEGENERATE for i, j in combinations(range(nb), 2)),
+        "mean_agreement": [{"benchmark": b, "mean": mean, "n_excluded": k} for b, (mean, k) in zip(bench, per_row)],
+    }
+
+
+def alignment_table_oracle(m: ScoreMatrix, bench_a: str, bench_b: str, models) -> dict:
+    """One table of ``alignment.json`` for benchmarks ``bench_a`` and ``bench_b`` of ``m``, without its mode.
+
+    Each partial order comes from :class:`PartialOrder.from_edges` on the
+    pairs that pass the oracle z-test at the default alpha on oriented
+    scores; :func:`greedy_oracle` aligns the two over ``models``, and the
+    crossings are counted by a loop over every model pair.
+    """
+    cfg, n = SignificanceConfig(), len(models)
+    tasks = []
+    for b in (bench_a, bench_b):
+        s, e = _oriented(m, b, models)
+        edges = {
+            (models[i], models[j]) if s[i] > s[j] else (models[j], models[i])
+            for i, j in combinations(range(n), 2)
+            if _oracle_significant(s[i], e[i], s[j], e[j], cfg.critical_z)
+        }
+        tasks.append((PartialOrder.from_edges(models, edges), s))
+    (g1, s1), (g2, s2) = tasks
+    order1, order2 = greedy_oracle(models, g1, g2, s1, s2)
+    rank1 = {mod: k + 1 for k, mod in enumerate(order1)}
+    rank2 = {mod: k + 1 for k, mod in enumerate(order2)}
+    ia, ib = m.benchmark_ids.index(bench_a), m.benchmark_ids.index(bench_b)
+    rows = []
+    for mod in order1:
+        j = m.model_ids.index(mod)
+        rows.append({
+            "model": mod,
+            "rank1": rank1[mod],
+            "rank2": rank2[mod],
+            "score1": float(m.scores[ia, j]),
+            "stderr1": float(m.stderrs[ia, j]),
+            "score2": float(m.scores[ib, j]),
+            "stderr2": float(m.stderrs[ib, j]),
+        })
+    crossings = sum((rank1[a] < rank1[b]) != (rank2[a] < rank2[b]) for a, b in combinations(models, 2))
+    return {"benchmark_a": bench_a, "benchmark_b": bench_b, "crossings": crossings, "models": rows}
 
 
 def eig2_oracle(cov) -> tuple[float, float]:

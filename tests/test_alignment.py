@@ -1,6 +1,6 @@
 import math
 import re
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,16 +27,21 @@ CFG = SignificanceConfig()
 STRADDLE_CHUNK = 37
 
 
-def oracle_partial_order(s, e, ids):
-    """Partial order from a brute-force loop over the oracle's z-test."""
-    n = len(s)
-    edges = {
-        (ids[a], ids[b]) if s[a] > s[b] else (ids[b], ids[a])
-        for a in range(n)
-        for b in range(a + 1, n)
+def oracle_ends(s, e):
+    """The set of edges as (winner, loser) positions: every pair whose oracle z-test passes, the
+    higher score winning."""
+    s, e = list(map(float, s)), list(map(float, e))
+    return {
+        (a, b) if s[a] > s[b] else (b, a)
+        for a in range(len(s))
+        for b in range(a + 1, len(s))
         if _oracle_significant(s[a], e[a], s[b], e[b], CFG.critical_z)
     }
-    return PartialOrder.from_edges(ids, edges)
+
+
+def oracle_partial_order(s, e, ids):
+    """Partial order from a brute-force loop over the oracle's z-test."""
+    return PartialOrder.from_edges(ids, {(ids[a], ids[b]) for a, b in oracle_ends(s, e)})
 
 
 class TestBuildPartialOrder:
@@ -90,25 +95,12 @@ class TestBuildPartialOrder:
             build_partial_order([0.5], [0.1, 0.1], CFG)
 
     def test_single_model_has_no_edges(self):
-        po = build_partial_order([0.5], [0.1], CFG)
-        for ends in (po.winners, po.losers):
-            assert ends.dtype == np.intp and ends.shape == (0,)
+        assert build_partial_order([0.5], [0.1], CFG).edges == frozenset()
 
     def test_two_models(self):
         assert build_partial_order([0.5, 0.5], [0.0, 0.0], CFG).edges == frozenset()
         assert build_partial_order([0.5, 0.7], [0.0, 0.0], CFG).edges == frozenset({(1, 0)})
         assert build_partial_order([0.5, 0.7], [0.1, 0.1], CFG).edges == frozenset()
-
-    def test_edges_grouped_by_winner(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        for chunk in (rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK):
-            monkeypatch.setattr(rankstats, "_PAIR_CHUNK", chunk)
-            for n in [2, 5, 30, 120]:
-                s = np.round(rng.uniform(size=n), 2)
-                po = build_partial_order(s, rng.uniform(0, 0.05, size=n), CFG)
-                assert grouped_by_winner(po)
-            # the 120-model order has many winners, so the check is not vacuous
-            assert len(set(po.winners.tolist())) > 10
 
 
 @pytest.fixture(params=[rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK], ids=["default-chunk", "chunk-1", "chunk-straddle"])
@@ -136,26 +128,10 @@ def split_cases():
                 yield s, draw(n)
 
 
-def oracle_ends(s, e):
-    """The edges as (winner, loser) positions, winners in descending score order and each winner's
-    losers in descending score order too, from the oracle's z-test on every pair."""
-    order = np.argsort(-np.asarray(s), kind="stable").tolist()
-    s, e = list(map(float, s)), list(map(float, e))
-    return [
-        (order[r], order[c])
-        for r in range(len(s))
-        for c in range(r + 1, len(s))
-        if _oracle_significant(s[order[r]], e[order[r]], s[order[c]], e[order[c]], CFG.critical_z)
-    ]
-
-
 class TestThresholdSplit:
     def test_edges_match_oracle_at_edge_cases(self, pair_chunk):
         for s, e in split_cases():
-            po = build_partial_order(s, e, CFG)
-            ends = oracle_ends(s, e)
-            assert list(zip(po.winners.tolist(), po.losers.tolist())) == ends
-            assert po.winners.dtype == po.losers.dtype == np.intp
+            assert build_partial_order(s, e, CFG).edges == frozenset(oracle_ends(s, e))
 
     def test_suffix_plus_band_is_each_rows_edge_count(self, pair_chunk):
         rng = np.random.default_rng(59)
@@ -197,11 +173,12 @@ class TestPartialOrder:
         for _ in range(20):
             scrambled = [edges[k] for k in rng.permutation(len(edges))]
             po = PartialOrder.from_edges(ids, scrambled)
-            assert grouped_by_winner(po) and po.edges == frozenset(edges)
+            assert po.edges == frozenset(edges)
             pairs = sorted((ids.index(a), ids.index(b)) for a, b in edges)
-            assert list(zip(po.winners.tolist(), po.losers.tolist())) == pairs
-            order, stop = po._split[:2]
+            order, stop, band, start = po._split
             assert order.tolist() == list(range(30)) and stop.tolist() == [30] * 30
+            assert band.tolist() == [b for _, b in pairs]
+            assert np.diff(start).tolist() == np.bincount([a for a, _ in pairs], minlength=30).tolist()
 
     def test_longer_cycle_detected(self):
         ids = ("A", "B", "C", "D")
@@ -232,12 +209,6 @@ class TestVanillaRanks:
         ids = ("A", "B", "C")
         with pytest.raises(AlignmentError, match="finite"):
             parallel_greedy_rank(ids, chain(ids), chain(ids), [3.0, math.nan, 1.0], [3.0, 2.0, 1.0])
-
-
-def grouped_by_winner(po: PartialOrder) -> bool:
-    """Whether each winner's edges are contiguous: no winner heads two runs."""
-    runs = [winner for winner, _ in groupby(po.winners.tolist())]
-    return len(set(runs)) == len(runs)
 
 
 def chain(ids):

@@ -15,7 +15,15 @@ from benchrank.io import file_sha256, load_artifact, load_benchmark_categories, 
 from benchrank.rankstats import SignificanceConfig
 from benchrank.synth import SyntheticConfig
 
-from oracles import TIED_GAP, generate_oracle, pca_oracle, report_means_oracle, taub_oracle
+from oracles import (
+    TIED_GAP,
+    agree_oracle,
+    alignment_table_oracle,
+    generate_oracle,
+    pca_oracle,
+    report_means_oracle,
+    taub_oracle,
+)
 
 SIM_CONFIG = {
     "n_models": 8,
@@ -846,6 +854,26 @@ def report_inputs(draw) -> dict[str, str]:
     return files
 
 
+@st.composite
+def agree_inputs(draw, ties: bool) -> str:
+    """A score CSV for ``agree``: 3-10 models, 2-7 benchmarks, stderrs of 0 to 0.2.
+
+    With ``ties`` the scores sit on ``report_inputs``' grid, and a row may be
+    constant or hold no significant pair, so that its agreement cells are
+    degenerate; without, each row is a permutation, as ``--method tau``
+    requires.
+    """
+    n_models, n_bench = draw(st.integers(3, 10)), draw(st.integers(2, 7))
+    grid = st.lists(st.integers(0, 4), min_size=n_models, max_size=n_models)
+    rows = []
+    for i in range(n_bench):
+        direction = draw(st.sampled_from(["higher", "lower"]))
+        for j, k in enumerate(draw(grid if ties else st.permutations(range(n_models)))):
+            se = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2]))
+            rows.append(f"b{i},m{j},{k / 4!r},{se!r},,{direction}\n")
+    return "benchmark,model,score,stderr,n,direction\n" + "".join(draw(st.permutations(rows)))
+
+
 #: ``report_inputs`` of 4 models whose two benchmarks are orthogonal and of
 #: equal variance once centred, so the top eigenvalue is exactly tied
 TIED_TOP_FILES = {
@@ -860,6 +888,20 @@ TIED_TOP_FILES = {
 }
 
 
+#: ``report_inputs`` of 3 models whose tbt mean scores are all 0.25, so the mean-score anchor of
+#: tbt's pc1 is exactly 0 and its sign falls to the first nonzero loading, -0.208 before the flip
+TIED_MEANS_FILES = {
+    "cats.csv": "benchmark,category\nb0,PPL\nb1,LU\nb2,LU\nb3,LU\n",
+    **{
+        name: "benchmark,model,score,stderr,n,direction\n"
+        + "".join(f"b{i},m{j},{int(k) / 4!r},0.0,,higher\n" for i, row in enumerate(levels) for j, k in enumerate(row))
+        for name, levels in (("direct.csv", ["001"] * 4), ("tbt.csv", ["001", "340", "003", "100"]))
+    },
+    "models.csv": "model,family,params_b,tokens_b,instruction_tuned\n"
+    + "".join(f"m{j},synth,{j + 1}.0,10.0,false\n" for j in range(3)),
+}
+
+
 #: Absolute bound on a float field against its oracle value, by field name.
 FIELD_TOL = {
     # a mean against the ``math.fsum`` mean of the same tau-b cells, which
@@ -867,7 +909,8 @@ FIELD_TOL = {
     # benchmarks) of |tau| <= 1 with an error below (n - 1) * 2^-53 * n, so a
     # mean is off by under 20 * 2^-53, about 2.2e-15, plus one rounding of
     # the quotient.
-    **dict.fromkeys(("means", "overall_mean", "ppl_vs_ppl_mean", "ppl_vs_downstream_mean", "values"), 1e-14),
+    # ``agree``'s per-benchmark ``mean`` likewise, over n <= 6 cells.
+    **dict.fromkeys(("means", "overall_mean", "ppl_vs_ppl_mean", "ppl_vs_downstream_mean", "values", "mean"), 1e-14),
     # against ``pca_oracle``'s SVD, a different LAPACK route from ``eigh`` of
     # the covariance.  Both are backward stable, off by a few ulps of the
     # largest eigenvalue, and scores in [0, 1] at <= 7 benchmarks keep it
@@ -884,9 +927,12 @@ FIELD_TOL = {
 #: random draws of ``report_inputs``' shapes and grid, every gap was either
 #: an exact tie or above 1e-3.
 PC1_TOL = 1e-12
-#: The anchor cosine at or below which either sign of pc1 is accepted.  In
+#: The anchor cosine, or where every model has the same mean score the
+#: first loading, at or below which either sign of pc1 is accepted.  In
 #: 50,000 such random draws every cosine was either below 1e-14 (pc1
-#: orthogonal to the mean score) or above 1e-6.
+#: orthogonal to the mean score) or above 1e-6.  In 3,000,000 more, the
+#: 4,923 with equal model means and an untied top eigenvalue had every first
+#: loading either below 1e-15 (an exact 0 in rounding) or above 2.9e-3.
 ANCHOR_TOL = 1e-9
 
 
@@ -918,7 +964,9 @@ def assert_pc1_matches(column, want):
         assert float(got @ want["means"]) >= -PC1_TOL * s0 * float(np.linalg.norm(want["means"]))
         return
     tol = PC1_TOL * s0 / want["gap"]
-    if abs(want["anchor"]) <= ANCHOR_TOL:
+    # rounding decides the sign where pc1 is orthogonal to the mean scores, or, where they are
+    # all equal, where the first loading is itself at rounding level
+    if abs(want["anchor"] if any(want["means"]) else want["lead"]) <= ANCHOR_TOL:
         assert min(np.abs(got - ref).max(), np.abs(got + ref).max()) <= tol
     else:
         assert np.abs(got - ref).max() <= tol
@@ -949,6 +997,7 @@ class TestReportOracle:
     @settings(max_examples=60, deadline=None)
     @given(report_inputs())
     @example(TIED_TOP_FILES)
+    @example(TIED_MEANS_FILES)
     def test_evr_and_pc1_tables_match_an_svd(self, files):
         with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
             work = Path(tmp)
@@ -973,3 +1022,47 @@ class TestReportOracle:
             column = [row[f"pc1_{name}"] for row in rows]
             assert_pc1_matches(column, w)
             assert pc1["tau"][name] == taub_oracle(column, zeros, log10, zeros, SignificanceConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_inputs())
+    def test_alignment_tables_match_the_greedy_oracle(self, files):
+        with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
+            work = Path(tmp)
+            matrices = self.run_report(files, work)
+            payload = load_artifact(work / "rep" / "alignment.json")
+        # report aligns the direct file's first two benchmarks, its models in the direct file's order
+        first = matrices["direct"]
+        pair, models = first.benchmark_ids[:2], first.model_ids
+        tables = [{**alignment_table_oracle(m, *pair, models), "mode": name} for name, m in matrices.items()]
+        assert_matches({k: payload[k] for k in ("alpha", "tables")}, {"alpha": 0.05, "tables": tables})
+
+    @staticmethod
+    def check_agree(text: str, method: str, alpha: float) -> None:
+        """Run ``agree`` on the score file ``text`` and compare its artifact with ``agree_oracle``.
+
+        Where a benchmark has no defined agreement cell, ``agree`` must exit 3
+        and write nothing.  Every cell is compared exactly.
+        """
+        with tempfile.TemporaryDirectory(prefix="benchrank-agree-") as tmp:
+            scores, out = Path(tmp) / "s.csv", Path(tmp) / "a.json"
+            scores.write_text(text, encoding="utf-8")
+            argv = ["agree", "--scores", str(scores), "--method", method, "--alpha", repr(alpha), "--out", str(out)]
+            code = run_cli(argv)
+            want = agree_oracle(load_scores(scores), method, SignificanceConfig(alpha=alpha))
+            if any(row["mean"] is None for row in want["mean_agreement"]):
+                assert code == 3 and not out.exists()
+                return
+            assert code == 0
+            payload = load_artifact(out)
+        assert payload["values"] == want.pop("values")
+        assert_matches({k: payload[k] for k in ("method", "alpha", *want)}, {"method": method, "alpha": alpha, **want})
+
+    @settings(max_examples=60, deadline=None)
+    @given(agree_inputs(ties=True), st.sampled_from([0.01, 0.05, 0.2]))
+    def test_agree_tau_b_matches_the_oracle(self, text, alpha):
+        self.check_agree(text, "tau-b", alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(agree_inputs(ties=False))
+    def test_agree_tau_matches_the_oracle(self, text):
+        self.check_agree(text, "tau", 0.05)
