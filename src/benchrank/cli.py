@@ -16,11 +16,14 @@ input is read), 2 input validation failure or an unwritable artifact path,
 stderr on failure.  No artifact file is written when a run fails before
 writing; when writing itself fails, the files written before the failure
 (and directories created for them) remain, since writes are not atomic.
+``run_cli`` may be called any number of times in one process: the parser is
+built on the first call, reused after it, and holds no per-run state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -109,6 +112,7 @@ def _align_pair(text: str) -> str:
     return text
 
 
+@functools.cache  # built on the first run_cli call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="benchrank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"benchrank {__version__}")
@@ -155,6 +159,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--categories", required=True)
     p.add_argument("--models", required=True)
     p.add_argument("--out-dir", required=True)
+    # runs without --align-pair share this default list (append copies it first): never change it in place
     p.add_argument(
         "--align-pair",
         action="append",

@@ -301,20 +301,25 @@ def mean_agreement(am: AgreementMatrix) -> MeanAgreement:
 
     Degenerate cells are excluded from the mean and counted per row; a row
     with no defined off-diagonal cell at all raises
-    :class:`~benchrank.core.DegenerateError`.
+    :class:`~benchrank.core.DegenerateError`, naming the first such row.
+    Each row's kept cells are summed in column order as ``np.mean`` sums
+    them (pairwise), so a mean equals ``np.mean`` of that row's kept cells.
     """
     nb = am.n_benchmarks
     if nb < 2:
         raise ValueError("need at least 2 benchmarks")
-    means = np.zeros(nb, dtype=float)
-    excluded = np.zeros(nb, dtype=np.int64)
-    for i in range(nb):
-        mean, excluded[i] = _defined_mean(am, [(i, j) for j in range(nb) if j != i])
-        if mean is None:
-            raise DegenerateError(
-                f"benchmark {am.benchmark_ids[i]!r}: every off-diagonal agreement cell is degenerate"
-            )
-        means[i] = mean
+    off = ~np.eye(nb, dtype=bool)
+    values, skipped = am.values[off].reshape(nb, nb - 1), am.degenerate[off].reshape(nb, nb - 1)
+    excluded = skipped.sum(axis=1, dtype=np.int64)
+    kept = nb - 1 - excluded
+    if not kept.all():
+        raise DegenerateError(
+            f"benchmark {am.benchmark_ids[kept.argmin()]!r}: every off-diagonal agreement cell is degenerate"
+        )
+    means = np.empty(nb)
+    for k in set(kept.tolist()):  # the rows with k kept cells, as one C-ordered (rows, k) block
+        rows = kept == k
+        means[rows] = values[rows][~skipped[rows]].reshape(-1, k).mean(axis=1)
     means.setflags(write=False)
     excluded.setflags(write=False)
     return MeanAgreement(benchmark_ids=am.benchmark_ids, means=means, n_excluded=excluded)

@@ -237,6 +237,39 @@ MUTANTS = [
         "if anchor > 0.0 or (anchor == 0.0 and lead < 0.0):",
         tests=CLI_TESTS,
     ),
+    Mutant(
+        "mean-agreement-excluded-down-columns",
+        "src/benchrank/rankstats.py",
+        "excluded = skipped.sum(axis=1, dtype=np.int64)",
+        "excluded = skipped.sum(axis=0, dtype=np.int64)",
+    ),
+    Mutant(
+        "mean-agreement-names-last-dead-row",
+        "src/benchrank/rankstats.py",
+        "am.benchmark_ids[kept.argmin()]",
+        "am.benchmark_ids[nb - 1 - kept[::-1].argmin()]",
+    ),
+    Mutant(
+        "mean-agreement-strided-block",
+        "src/benchrank/rankstats.py",
+        "reshape(-1, k).mean(axis=1)",
+        "reshape(-1, k).T.copy().T.mean(axis=1)",
+    ),
+    Mutant(
+        "report-default-pair-in-place",
+        "src/benchrank/cli.py",
+        '    pairs = [spec.split(":", 1) for spec in args.align_pairs] or [m_direct.benchmark_ids[:2]]\n',
+        '    args.align_pairs += [] if args.align_pairs else [":".join(m_direct.benchmark_ids[:2])]\n'
+        '    pairs = [spec.split(":", 1) for spec in args.align_pairs]\n',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "parser-built-per-call",
+        "src/benchrank/cli.py",
+        "@functools.cache  # built on the first run_cli call, not at import\n",
+        "",
+        tests=CLI_TESTS,
+    ),
 ]
 
 

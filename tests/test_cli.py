@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -119,6 +123,10 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
+
+    def test_version_prints_only_the_version(self, capsys):
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr() == (f"benchrank {__version__}\n", "")
 
 
 class TestInputErrors:
@@ -699,6 +707,62 @@ class TestManifestContract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: usage:")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    """Many ``run_cli`` calls in one process share one parser and behave as fresh processes do."""
+
+    REPORT = ["report", "--scores-direct", "direct.csv", "--scores-tbt", "tbt.csv", "--categories", "cats.csv",
+              "--models", "models.csv"]  # fmt: skip
+    SEQUENCE = [
+        [*REPORT, "--out-dir", "rep_pairs", "--align-pair", "bench00:bench01", "--align-pair", "bench04:bench01"],
+        [*REPORT, "--out-dir", "rep_default"],
+        ["agree", "--scores", "direct.csv", "--method", "kendall", "--out", "usage.json"],
+        ["--version"],
+        ["--help"],
+        ["agree", "--scores", "direct.csv", "--method", "tau-b", "--out", "agree_taub.json"],
+        ["agree", "--scores", "direct.csv", "--out", "agree_tau.json"],
+    ]
+    INPUTS = ("direct.csv", "tbt.csv", "cats.csv", "models.csv")
+
+    def test_one_process_matches_fresh_processes(self, workspace, monkeypatch, capsys):
+        fresh = workspace / "fresh"
+        fresh.mkdir()
+        for name in self.INPUTS:
+            shutil.copy(workspace / name, fresh / name)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80")  # --help wraps at the terminal width
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(workspace)
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        for argv in self.SEQUENCE:
+            code = run_cli(argv)
+            out, err = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "benchrank.cli", *argv], cwd=fresh, env=env, capture_output=True, text=True
+            )
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert built.count("benchrank") == 1 and len(set(built)) == len(built)
+        written = sorted(
+            p.relative_to(fresh).as_posix() for p in fresh.rglob("*") if p.is_file() and p.name not in self.INPUTS
+        )
+        assert written == sorted(
+            [f"rep_pairs/{f}" for f in REPORT_FILES] + [f"rep_default/{f}" for f in REPORT_FILES]
+            + ["agree_taub.json", "agree_tau.json"]
+        )  # fmt: skip
+        for name in written:
+            assert (workspace / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert not (workspace / "usage.json").exists()
+        assert _manifest_of(workspace / "rep_default" / "mean_agreement.json")["flags"]["align_pairs"] == []
 
 
 class TestReport:

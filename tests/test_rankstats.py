@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import operator
+import re
 from itertools import combinations
 from pathlib import Path
 from statistics import NormalDist
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchrank import rankstats
@@ -18,6 +19,7 @@ from benchrank.core import DEGENERATE, AgreementMatrix, BenchmarkRecord, Degener
 from benchrank.rankstats import (
     SignificanceConfig,
     TieError,
+    _defined_mean,
     agreement_matrix,
     average_rank_vector,
     bits_per_byte,
@@ -484,6 +486,46 @@ class TestMeanAgreement:
         deg[0, 1] = deg[1, 0] = True
         with pytest.raises(DegenerateError):
             mean_agreement(hand_matrix(np.eye(2), degenerate=deg))
+
+
+@st.composite
+def agreement_with_holes(draw):
+    """An agreement matrix with NaN in its degenerate cells, up to 140 benchmarks (past numpy's 128-cell
+    pairwise block), values over 17 decades so that the summation order shows, and per-row rates of
+    degenerate cells, so rows skip different numbers of cells; some rows may be made fully degenerate."""
+    nb = draw(st.integers(2, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (nb, nb)) * 10.0 ** rng.integers(-8, 9, (nb, nb))
+    rates = rng.uniform(0.0, draw(st.sampled_from([0.0, 0.1, 0.6, 1.0])), (nb, 1))
+    degenerate = rng.random((nb, nb)) < rates
+    for i in draw(st.lists(st.integers(0, nb - 1), max_size=3)):
+        degenerate[i] = True
+    if draw(st.booleans()):
+        degenerate |= degenerate.T
+    values[degenerate] = np.nan
+    return hand_matrix(values, degenerate=degenerate)
+
+
+class TestMeanAgreementExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(agreement_with_holes())
+    @example(hand_matrix(np.arange(140.0 * 140.0).reshape(140, 140) ** 3 / 7.0))
+    def test_each_mean_is_np_mean_of_its_kept_cells(self, am):
+        nb = am.n_benchmarks
+        cells = [[(i, j) for j in range(nb) if j != i] for i in range(nb)]
+        kept = [[am.values[i, j] for i, j in row if not am.degenerate[i, j]] for row in cells]
+        excluded = [sum(bool(am.degenerate[i, j]) for i, j in row) for row in cells]
+        dead = [i for i in range(nb) if not kept[i]]
+        if dead:
+            message = f"benchmark {am.benchmark_ids[dead[0]]!r}: every off-diagonal agreement cell is degenerate"
+            with pytest.raises(DegenerateError, match=f"^{re.escape(message)}$"):
+                mean_agreement(am)
+            return
+        res = mean_agreement(am)
+        assert np.array_equal(res.means, [np.mean(row) for row in kept])
+        assert np.array_equal(res.means, [_defined_mean(am, row)[0] for row in cells])
+        assert res.n_excluded.dtype == np.int64 and res.n_excluded.tolist() == excluded
+        assert not res.means.flags.writeable and not res.n_excluded.flags.writeable
 
 
 class TestCategoryAgreement:
