@@ -134,14 +134,13 @@ class PartialOrder:
     def edges(self) -> frozenset[tuple[Hashable, Hashable]]:
         """The edges as (winner id, loser id) pairs, built on first access."""
         order, stop, band, start = self._split
-        n_band = np.diff(start)
-        counts = n_band + (len(order) - stop)
-        rows = np.repeat(np.arange(len(order)), counts)
-        at = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = at - n_band[rows] + stop[rows]
-        cols[at < n_band[rows]] = band
-        ids = self.model_ids.__getitem__
-        return frozenset(zip(map(ids, order[rows].tolist()), map(ids, order[cols].tolist())))
+        ids = [self.model_ids[k] for k in order.tolist()]
+        band, start = band.tolist(), start.tolist()
+        return frozenset(
+            (ids[r], ids[c])
+            for r, s in enumerate(stop.tolist())
+            for c in [*band[start[r] : start[r + 1]], *range(s, len(ids))]
+        )
 
     @property
     def n_models(self) -> int:

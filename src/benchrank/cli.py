@@ -359,6 +359,9 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     if set(m_direct.model_ids) != set(m_tbt.model_ids):
         raise LoadError("direct and train-before-test matrices cover different models")
     m_tbt = _reorder_like(m_tbt, m_direct.benchmark_ids, m_direct.model_ids)
+    for bench, d, t in zip(m_direct.benchmark_ids, m_direct.direction, m_tbt.direction):
+        if d != t:
+            raise LoadError(f"benchmark {bench!r} has direction {d!r} in direct but {t!r} in train-before-test")
     cats = load_benchmark_categories(args.categories)
     metadata = load_model_metadata(args.models)
     pairs = [spec.split(":", 1) for spec in args.align_pairs] or [m_direct.benchmark_ids[:2]]

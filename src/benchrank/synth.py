@@ -18,11 +18,12 @@ derived from the seed and the cell coordinates, so generation is
 deterministic regardless of evaluation order and the two modes are
 exactly paired.  Cell (i, j) draws its preparation offset from the first
 and its binomial from the second child of
-``SeedSequence(seed, spawn_key=(i, j))``, each through its own PCG64.  The
-seed words of all those children are derived in one vectorised pass of
-SeedSequence's hash (entropy-pool mixing, then ``generate_state``) over
-every cell at once; the streams, and so the output, are identical to the
-ones per-cell ``SeedSequence`` objects give.
+``SeedSequence(seed, spawn_key=(i, j))``, each through its own PCG64.  Every
+cell's sequence starts from the pool numpy fills by absorbing the seed,
+``SeedSequence(seed).pool``; one vectorised pass of SeedSequence's hash
+then mixes in every cell's spawn key at once and hashes out its seed
+words, so the streams, and so the output, are identical to the ones
+per-cell ``SeedSequence`` objects give.
 
 ``generate`` then makes one flat pass over the cells in row-major order.
 Per cell it keeps only the layout's fixed cost, two ``PCG64`` and two
@@ -211,40 +212,27 @@ def _cell_seed_words(seed: int, nb: int, nm: int) -> np.ndarray:
 
     Entry [i, j, k] equals
     ``SeedSequence(seed, spawn_key=(i, j)).spawn(2)[k].generate_state(4, np.uint64)``,
-    that is the state of ``SeedSequence(seed, spawn_key=(i, j, k))``.  The
-    entropy is the seed's little-endian 32-bit words, zero-padded to the
-    pool size, then i, j and k.  Only the last three words differ between
-    cells, so the pool is mixed once from the seed and then, by
-    broadcasting, over the i, j and k axes.
+    that is the state of ``SeedSequence(seed, spawn_key=(i, j, k))``.  Until
+    the key is mixed in, its pool is ``SeedSequence(seed).pool``: a seed
+    shorter than the pool hashes the same zeros padded or not, and a longer
+    one mixes its extra words in before any key word.  Absorbing w seed
+    words takes 4 * max(4, w) hash calls, so the hash constants resume
+    there; i, j and k are mixed in by broadcasting over the cell axes, and
+    the state is hashed out as ``generate_state`` does.
     """
-    run = []
-    n = int(seed)
-    while True:
-        run.append(n & _MASK32)
-        n >>= 32
-        if n == 0:
-            break
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.uint32(w) for w in run] + [
-        np.arange(nb, dtype=np.uint32)[:, None, None],
-        np.arange(nm, dtype=np.uint32)[None, :, None],
-        np.arange(2, dtype=np.uint32)[None, None, :],
-    ]
+    seed = int(seed)
+    absorbed = _POOL_SIZE * max(_POOL_SIZE, (seed.bit_length() + 31) // 32)
+    pool = list(np.random.SeedSequence(seed).pool)
     with np.errstate(over="ignore"):
-        consts = _hash_consts(_INIT_A, _MULT_A)
-        pool = [_hash(w, consts) for w in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-        for w in entropy[_POOL_SIZE:]:
+        consts = _hash_consts(_INIT_A * pow(_MULT_A, absorbed, 1 << 32) & _MASK32, _MULT_A)
+        # i, j and k as uint32 arrays of shapes (nb, 1, 1), (1, nm, 1) and (1, 1, 2)
+        for w in np.ix_(*(np.arange(n, dtype=np.uint32) for n in (nb, nm, 2))):
             for dst in range(_POOL_SIZE):
                 pool[dst] = _mix(pool[dst], _hash(w, consts))
         consts = _hash_consts(_INIT_B, _MULT_B)
         state = [_hash(pool[t % _POOL_SIZE], consts) for t in range(8)]
     # 8 uint32 words read as 4 little-endian uint64 words, as generate_state does
-    state = np.stack(state, axis=-1)
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return np.stack(state, axis=-1).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _SeedFeed(ISeedSequence):

@@ -80,7 +80,8 @@ MUTANTS = [
         "(n_sig[:, None] == 0) | (n_sig == 0)",
         "(n_sig[:, None] == 0) & (n_sig == 0)",
     ),
-    Mutant("edges-without-band", "src/benchrank/alignment.py", "        cols[at < n_band[rows]] = band\n", ""),
+    Mutant("edges-without-band", "src/benchrank/alignment.py", "band[start[r] : start[r + 1]]", "band[start[r] : start[r]]"),
+    Mutant("edges-suffix-one-late", "src/benchrank/alignment.py", "*range(s, len(ids))", "*range(s + 1, len(ids))"),
     Mutant(
         "from-edges-suffix-at-last-column",
         "src/benchrank/alignment.py",
@@ -203,6 +204,34 @@ MUTANTS = [
         tests=SYNTH_TESTS,
     ),
     Mutant(
+        "seed-constants-ignore-long-seeds",
+        "src/benchrank/synth.py",
+        "absorbed = _POOL_SIZE * max(_POOL_SIZE, (seed.bit_length() + 31) // 32)",
+        "absorbed = _POOL_SIZE * _POOL_SIZE",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "seed-constants-from-zero",
+        "src/benchrank/synth.py",
+        "pow(_MULT_A, absorbed, 1 << 32)",
+        "pow(_MULT_A, 0, 1 << 32)",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "seed-j-mixed-before-i",
+        "src/benchrank/synth.py",
+        "np.ix_(*(np.arange(n, dtype=np.uint32) for n in (nb, nm, 2)))",
+        "(lambda i, j, k: (j, i, k))(*np.ix_(*(np.arange(n, dtype=np.uint32) for n in (nb, nm, 2))))",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
+        "seed-numpy-integer-not-converted",
+        "src/benchrank/synth.py",
+        "    seed = int(seed)\n",
+        "",
+        tests=SYNTH_TESTS,
+    ),
+    Mutant(
         "pca-unstable-eigenvalue-sort",
         "src/benchrank/lowrank.py",
         'order = np.argsort(-eigvals, kind="stable")',
@@ -261,6 +290,13 @@ MUTANTS = [
         '    pairs = [spec.split(":", 1) for spec in args.align_pairs] or [m_direct.benchmark_ids[:2]]\n',
         '    args.align_pairs += [] if args.align_pairs else [":".join(m_direct.benchmark_ids[:2])]\n'
         '    pairs = [spec.split(":", 1) for spec in args.align_pairs]\n',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "report-accepts-direction-mismatch",
+        "src/benchrank/cli.py",
+        "        if d != t:\n",
+        "        if False:\n",
         tests=CLI_TESTS,
     ),
     Mutant(

@@ -417,6 +417,18 @@ class TestInputErrors:
         assert err == "error: input: direct and train-before-test matrices cover different benchmarks\n"
         assert not (workspace / "rep").exists()
 
+    def test_report_direction_mismatch(self, workspace, monkeypatch, capsys):
+        # identical scores, but bench02 is lower-is-better in the train-before-test file only
+        monkeypatch.chdir(workspace)
+        lines = (workspace / "direct.csv").read_text().splitlines(keepends=True)
+        flipped = [l.replace(",higher", ",lower") if l.startswith("bench02,") else l for l in lines]
+        (workspace / "tbt.csv").write_text("".join(flipped))
+        assert run_cli(REPORT_ARGV) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: input: benchmark 'bench02' has direction 'higher' in direct but 'lower' in train-before-test"
+        ]
+        assert not (workspace / "rep").exists()
+
     def test_align_model_set_mismatch(self, workspace, capsys):
         other = workspace / "other.csv"
         other.write_text((workspace / "tbt.csv").read_text().replace("model00", "intruder"))

@@ -11,8 +11,10 @@ from benchrank.synth import SyntheticConfig, _cell_seed_words, generate, paired_
 
 from oracles import _oracle_cell_streams, generate_oracle
 
-# seeds of one to three 32-bit words, at and around the word boundaries
+# seeds of one to nine 32-bit words, at and around the word boundaries; from
+# five words on, the seed is longer than SeedSequence's pool of four
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**73 + 0x1234567]
+SEEDS += [2**96 + 7, 2**128 - 1, 2**128, 2**160 + 3, 2**200 + 5, 2**255 + 1, 2**287 + 11]
 
 
 def cfg(**overrides):
@@ -149,7 +151,8 @@ class TestConfigValidation:
 
 
 class TestSeedDerivation:
-    @pytest.mark.parametrize("seed", SEEDS)
+    # SyntheticConfig accepts a numpy integer seed
+    @pytest.mark.parametrize("seed", SEEDS + [np.uint64(2**64 - 1), np.int32(7)])
     @pytest.mark.parametrize("shape", [(2, 2), (7, 9), (1, 3)])
     def test_words_match_seed_sequence(self, seed, shape):
         nb, nm = shape
@@ -164,7 +167,7 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("chunk", range(4))
     def test_generate_matches_oracle_byte_for_byte(self, chunk):
         # 4 x 50 seeded configs, both modes each: scalar and per-benchmark
-        # n_items, prep_sd 0, residual_prep 0 and 1, and seeds up to 74 bits
+        # n_items, prep_sd 0, residual_prep 0 and 1, and seeds up to nine words
         rng = np.random.default_rng(1000 + chunk)
         for k in range(50):
             nb, nm = int(rng.integers(2, 8)), int(rng.integers(2, 10))
