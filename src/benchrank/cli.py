@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lowrank
 from .alignment import crossing_count, rank_models
 from .core import (
     DegenerateError,
@@ -136,7 +136,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("pca", help="explained variance and pc1 scores")
     p.add_argument("--scores", required=True)
-    p.add_argument("--preprocess", choices=["center", "zscore"], default="center")
+    p.add_argument("--preprocess", choices=lowrank.PREPROCESSINGS, default="center")
     p.add_argument("--top-k", type=_int_at_least(1), default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_pca)

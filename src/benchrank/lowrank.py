@@ -29,11 +29,14 @@ class PcaResult:
     """Full eigendecomposition of the benchmark covariance.
 
     ``eigenvalues`` are non-increasing and clamped at zero; ``evr`` are the
-    explained-variance ratios (summing to 1); ``pc1_scores`` is each
-    model's projection on the first principal axis, with the sign fixed so
-    that pc1 correlates non-negatively with the per-model mean preprocessed
-    score.  ``components`` holds the eigenvectors as columns (benchmark
-    loadings), aligned with ``benchmark_ids``.
+    explained-variance ratios (summing to 1); ``components`` holds the
+    eigenvectors as columns (benchmark loadings), aligned with
+    ``benchmark_ids``.  ``pc1_scores`` is each model's projection on the
+    first axis, signed to correlate positively with the models' mean
+    preprocessed scores, that is, so that its loadings sum to more than 0.
+    Where that sum is at most 1e-9 in magnitude (the means are tied, or
+    orthogonal to pc1), the loading of the smallest benchmark id among those
+    above 1e-9 of the largest is positive, whatever the row order.
     """
 
     eigenvalues: np.ndarray
@@ -61,50 +64,38 @@ class ComputeRecord:
             raise ValueError(f"model {self.model_id!r}: flops must be > 0, got {self.flops}")
 
 
-def _preprocess(m: ScoreMatrix, preprocessing: str) -> tuple[np.ndarray, np.ndarray | float]:
-    """Models-by-benchmarks data matrix, mean-centered (and scaled under zscore), and its benchmarks' scale."""
-    if preprocessing not in PREPROCESSINGS:
-        raise ValueError(f"preprocessing must be one of {PREPROCESSINGS}, got {preprocessing!r}")
-    x = np.array(m.scores.T, dtype=float)
-    x -= x.mean(axis=0)
-    if preprocessing == "zscore":
-        sd = np.array(m.scores, dtype=float).std(axis=1, ddof=1)
-        over = np.flatnonzero(~np.isfinite(sd))
-        if over.size:
-            raise ValueError(
-                f"benchmark {m.benchmark_ids[int(over[0])]!r} standard deviation overflows float64; "
-                "zscore undefined"
-            )
-        zero = np.flatnonzero(sd == 0.0)
-        if zero.size:
-            raise ValueError(
-                f"benchmark {m.benchmark_ids[int(zero[0])]!r} has zero variance; zscore undefined"
-            )
-        x /= sd
-        return x, sd
-    return x, 1.0
-
-
 def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
     """PCA of the models-by-benchmarks matrix, full spectrum.
 
-    Sample covariance uses the n-1 divisor.  Requires at least 2 models
-    and 2 benchmarks, and under zscore nonzero variance on every benchmark.
-    The spectrum of an all-constant matrix is entirely zero, which leaves
-    the variance ratios undefined; that case raises, as do scores whose
+    Each benchmark is centred on its mean and, under zscore, divided by its
+    standard deviation; the covariance uses the n-1 divisor.  Raises below
+    2 models or 2 benchmarks, on a zero-variance benchmark under zscore, on
+    an all-constant matrix (its variance ratios are undefined), and where
     squares overflow float64 in the standard deviation or the covariance.
-    pc1's sign makes it correlate positively with the models' mean scores,
-    or, where it is orthogonal to them or every model's mean is the same,
-    makes its first nonzero loading positive.  At an exactly tied top
+    pc1's sign follows the models' mean scores or, where they are tied or
+    orthogonal to pc1, the loading of the smallest benchmark id (see
+    :class:`PcaResult`), not the row order.  At an exactly tied top
     eigenvalue pc1 is eigh's first eigenvector of the tied space.
     """
     if m.n_models < 2 or m.n_benchmarks < 2:
         raise ValueError(f"need >= 2 models and >= 2 benchmarks, got {m.n_models} x {m.n_benchmarks}")
     # overflow is reported by the finiteness checks, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        x, scale = _preprocess(m, preprocessing)
+        if preprocessing not in PREPROCESSINGS:
+            raise ValueError(f"preprocessing must be one of {PREPROCESSINGS}, got {preprocessing!r}")
+        x = np.array(m.scores.T, dtype=float)
+        x -= x.mean(axis=0)
+        if preprocessing == "zscore":
+            sd = m.scores.std(axis=1, ddof=1)
+            over = np.flatnonzero(~np.isfinite(sd))
+            if over.size:
+                name = m.benchmark_ids[int(over[0])]
+                raise ValueError(f"benchmark {name!r} standard deviation overflows float64; zscore undefined")
+            zero = np.flatnonzero(sd == 0.0)
+            if zero.size:
+                raise ValueError(f"benchmark {m.benchmark_ids[int(zero[0])]!r} has zero variance; zscore undefined")
+            x /= sd
         cov = x.T @ x / (m.n_models - 1)
-        means = (m.scores.T / scale).mean(axis=1)
     if not np.isfinite(cov).all():
         raise ValueError("benchmark covariance overflows float64; scores too large in magnitude")
     eigvals, vecs = np.linalg.eigh(cov)
@@ -117,13 +108,17 @@ def fit_pca(m: ScoreMatrix, preprocessing: str = "center") -> PcaResult:
         raise ValueError("zero total variance: every benchmark is constant across models")
     evr = eigvals / total
     pc1 = x @ vecs[:, 0]
-    # eigenvectors are sign-ambiguous; anchor pc1 to the mean-score direction (or, when pc1 is
-    # orthogonal to it, to a positive first nonzero loading).  Equal means are read from the
-    # uncentred scores: the means of x hold rounding noise there, which would decide the sign.
-    anchor = 0.0 if (means == means[0]).all() else float(pc1 @ x.mean(axis=1))
-    lead = vecs[np.flatnonzero(vecs[:, 0])[0], 0]
-    if anchor < 0.0 or (anchor == 0.0 and lead < 0.0):
-        vecs[:, 0] = -vecs[:, 0]
+    # eigenvectors are sign-ambiguous.  pc1 @ x.mean(axis=1) is (n_models - 1) * eigvals[0] / n_benchmarks
+    # times the loadings' sum, so the sum's sign anchors pc1 to the mean-score direction.  The sum is 0 when
+    # the models' means are tied or orthogonal to pc1; then, and not by row order, the smallest benchmark id
+    # among the loadings above rounding level decides.
+    v = vecs[:, 0]
+    anchor = float(v.sum())
+    if abs(anchor) <= 1e-9:
+        big = np.flatnonzero(np.abs(v) > 1e-9 * np.abs(v).max())
+        anchor = v[min(big, key=m.benchmark_ids.__getitem__)]
+    if anchor < 0.0:
+        vecs[:, 0] = -v
         pc1 = -pc1
     for arr in (eigvals, evr, pc1, vecs):
         arr.setflags(write=False)

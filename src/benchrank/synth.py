@@ -30,11 +30,12 @@ Per cell it keeps only the layout's fixed cost, two ``PCG64`` and two
 ``Generator`` objects (one ``_SeedFeed`` hands them their seed rows in
 order), one normal and one binomial draw, and the logistic in Python
 floats with ``math.exp``, which rounds as libm does (numpy's SIMD ``exp``
-need not) and overflows to +-inf without a warning.  Loading, bias,
-uplift and item count are Python numbers read once per row.  Only the
-binomial counts are kept: the scores, count / n, and the stderrs,
-sqrt(s (1 - s) / n), are then one numpy pass of the same correctly
-rounded operations per cell.
+need not).  ``z`` may overflow to +-inf in Python float arithmetic, but
+``exp`` never overflows: each branch passes it a non-positive argument
+(-inf included) or a NaN.  Loading, bias, uplift and item count are Python
+numbers read once per row.  Only the binomial counts are kept: the
+scores, count / n, and the stderrs, sqrt(s (1 - s) / n), are then one
+numpy pass of the same correctly rounded operations per cell.
 """
 
 from __future__ import annotations

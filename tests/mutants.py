@@ -37,6 +37,7 @@ CLI_TESTS = ("tests/test_cli.py",)
 GOLDEN_TESTS = ("tests/test_golden.py",)
 SYNTH_TESTS = ("tests/test_synth.py",)
 LOWRANK_TESTS = ("tests/test_lowrank.py",)
+METAMORPHIC_TESTS = ("tests/test_metamorphic.py",)
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,14 @@ MUTANTS = [
         "if not indeg[j] and j <= bound:",
     ),
     Mutant("greedy-key2-not-lowered", "src/benchrank/alignment.py", "        key2[k1] -= n\n", ""),
+    # the small greedy oracle cases kill this too; here it checks that the leaderboard-scale relations do
+    Mutant(
+        "greedy-common-tie-by-position",
+        "src/benchrank/alignment.py",
+        "min(common, key=lambda k: (vr2[k] + vr1[k], models[k]))",
+        "min(common, key=lambda k: (vr2[k] + vr1[k], k))",
+        tests=METAMORPHIC_TESTS,
+    ),
     Mutant(
         "crossings-le",
         "src/benchrank/alignment.py",
@@ -241,9 +250,30 @@ MUTANTS = [
     Mutant(
         "pc1-anchor-on-centred-means-at-a-tie",
         "src/benchrank/lowrank.py",
-        "anchor = 0.0 if (means == means[0]).all() else float(pc1 @ x.mean(axis=1))",
-        "anchor = float(pc1 @ x.mean(axis=1))",
+        "    if abs(anchor) <= 1e-9:\n",
+        "    if anchor == 0.0:\n",
         tests=CLI_TESTS,
+    ),
+    Mutant(
+        "pc1-lead-first-nonzero-loading",
+        "src/benchrank/lowrank.py",
+        "anchor = v[min(big, key=m.benchmark_ids.__getitem__)]",
+        "anchor = v[np.flatnonzero(v)[0]]",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "pc1-lead-without-rounding-floor",
+        "src/benchrank/lowrank.py",
+        "np.abs(v) > 1e-9 * np.abs(v).max()",
+        "v != 0.0",
+        tests=LOWRANK_TESTS,
+    ),
+    Mutant(
+        "zscore-sd-ddof-0",
+        "src/benchrank/lowrank.py",
+        "sd = m.scores.std(axis=1, ddof=1)",
+        "sd = m.scores.std(axis=1, ddof=0)",
+        tests=LOWRANK_TESTS,
     ),
     Mutant(
         "alignment-table-stderr2-of-task-1",
@@ -262,8 +292,8 @@ MUTANTS = [
     Mutant(
         "pc1-sign-anchor-flipped",
         "src/benchrank/lowrank.py",
-        "if anchor < 0.0 or (anchor == 0.0 and lead < 0.0):",
-        "if anchor > 0.0 or (anchor == 0.0 and lead < 0.0):",
+        "    if anchor < 0.0:\n",
+        "    if anchor > 0.0:\n",
         tests=CLI_TESTS,
     ),
     Mutant(

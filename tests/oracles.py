@@ -163,6 +163,8 @@ def report_means_oracle(matrices: dict[str, ScoreMatrix], categories: list[Bench
 
 #: Relative gap (lambda_0 - lambda_1) / lambda_0 at or below which :func:`pca_oracle` calls the top eigenvalue tied.
 TIED_GAP = 1e-9
+#: The anchor cosine, and a loading over the largest one, at or below which :func:`pca_oracle` calls it 0.
+SIGN_FLOOR = 1e-9
 
 
 def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
@@ -175,11 +177,11 @@ def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
     ``math.fsum``.  ``means`` are the models' mean scores less their
     average, computed exactly in fractions and then rounded, so they are
     all 0 exactly when every model has the same mean.  ``pc1`` is
-    s_0 u_0, signed so that it correlates non-negatively with ``means``;
-    ``anchor`` is the cosine between u_0 and them, so near 0 the program's
-    sign comes from rounding noise or its first nonzero loading, which the
-    oracle does not decide.  Where ``means`` are all 0, ``anchor`` is 0 and
-    pc1 is signed so that ``lead``, its first loading, is non-negative.  ``gap``
+    s_0 u_0, signed so that ``anchor``, the cosine between u_0 and
+    ``means``, is positive.  Where it is at most ``SIGN_FLOOR`` in
+    magnitude (all ``means`` are 0, or u_0 is orthogonal to them), pc1 is
+    signed so that ``lead`` is positive: the loading of the smallest
+    benchmark id among those above ``SIGN_FLOOR`` of the largest.  ``gap``
     is the relative gap of the top eigenvalue; at or below ``TIED_GAP``
     there is no single first component, and ``pc1_space`` holds the left
     singular vectors of every eigenvalue tied with the top one, as columns.
@@ -194,8 +196,9 @@ def pca_oracle(m: ScoreMatrix, model_ids) -> dict:
     exact = [sum(map(Fraction, col)) / nb for col in zip(*rows)]
     means = [float(v - sum(exact) / nm) for v in exact]
     anchor = float(u[:, 0] @ means) / (math.hypot(*means) or 1.0)
-    lead = float(vt[0, 0])
-    sign = -1.0 if anchor < 0.0 or (not any(means) and lead < 0.0) else 1.0
+    floor = SIGN_FLOOR * float(np.abs(vt[0]).max())
+    lead = min((b, float(v)) for b, v in zip(m.benchmark_ids, vt[0]) if abs(v) > floor)[1]
+    sign = -1.0 if (anchor if abs(anchor) > SIGN_FLOOR else lead) < 0.0 else 1.0
     gap = (lam[0] - lam[1]) / lam[0]
     tied = [k for k in range(len(s)) if (lam[0] - lam[k]) / lam[0] <= TIED_GAP]
     return {

@@ -965,7 +965,7 @@ TIED_TOP_FILES = {
 
 
 #: ``report_inputs`` of 3 models whose tbt mean scores are all 0.25, so the mean-score anchor of
-#: tbt's pc1 is exactly 0 and its sign falls to the first nonzero loading, -0.208 before the flip
+#: tbt's pc1 is 0 and its sign falls to the loading of b0, the smallest id, -0.208 before the flip
 TIED_MEANS_FILES = {
     "cats.csv": "benchmark,category\nb0,PPL\nb1,LU\nb2,LU\nb3,LU\n",
     **{
@@ -976,6 +976,47 @@ TIED_MEANS_FILES = {
     "models.csv": "model,family,params_b,tokens_b,instruction_tuned\n"
     + "".join(f"m{j},synth,{j + 1}.0,10.0,false\n" for j in range(3)),
 }
+
+
+def _report_files(cats: str, direct: str, tbt: str, n_models: int) -> dict[str, str]:
+    """``report``'s input files, by name, from ``" / "``-separated rows.
+
+    ``cats`` holds ``benchmark,category`` rows and ``direct`` and ``tbt``
+    ``benchmark,model,score`` rows, each given stderr 0.0, an empty ``n``
+    and direction ``higher``.  Models ``m0`` to ``m{n_models - 1}`` have
+    params 1, 2, ... and 10 training tokens, as in ``report_inputs``.
+    """
+    def csv(header: str, rows: str, tail: str = "") -> str:
+        return header + "".join(f"{row}{tail}\n" for row in rows.split(" / "))
+
+    scores = "benchmark,model,score,stderr,n,direction\n"
+    return {
+        "cats.csv": csv("benchmark,category\n", cats),
+        "direct.csv": csv(scores, direct, ",0.0,,higher"),
+        "tbt.csv": csv(scores, tbt, ",0.0,,higher"),
+        "models.csv": "model,family,params_b,tokens_b,instruction_tuned\n"
+        + "".join(f"m{j},synth,{j + 1}.0,10.0,false\n" for j in range(n_models)),
+    }
+
+
+#: Two drawn ``report_inputs`` whose tbt models all have the same mean score and whose ``tbt.csv``
+#: lists b1 before b0.  When pc1's sign followed the first nonzero loading in the matrix's row order,
+#: it followed the direct file's benchmark order, and reversing that order flipped tbt's pc1.
+TIED_MEANS_ROW_ORDER_FILES = [
+    _report_files(
+        "b0,PPL / b1,LU",
+        " / ".join(f"b{i},m{j},{0.25 if j == 4 else 0.0}" for i in range(2) for j in range(5)),
+        "b1,m0,0.75 / b0,m1,0.0 / b0,m2,0.25 / b0,m3,0.25 / b0,m4,0.25 / "
+        "b0,m0,0.0 / b1,m1,0.75 / b1,m2,0.5 / b1,m3,0.5 / b1,m4,0.5",
+        5,
+    ),
+    _report_files(
+        "b0,LU / b1,LU / b2,LU",
+        " / ".join(f"b{i},m{j},{0.25 if j == 2 else 0.0}" for i in range(3) for j in range(3)),
+        "b1,m0,1.0 / b0,m1,0.0 / b0,m2,0.25 / b0,m0,0.0 / b1,m1,0.75 / b1,m2,0.0 / b2,m0,0.25 / b2,m1,0.5 / b2,m2,1.0",
+        3,
+    ),
+]
 
 
 #: Absolute bound on a float field against its oracle value, by field name.
@@ -1003,13 +1044,6 @@ FIELD_TOL = {
 #: random draws of ``report_inputs``' shapes and grid, every gap was either
 #: an exact tie or above 1e-3.
 PC1_TOL = 1e-12
-#: The anchor cosine, or where every model has the same mean score the
-#: first loading, at or below which either sign of pc1 is accepted.  In
-#: 50,000 such random draws every cosine was either below 1e-14 (pc1
-#: orthogonal to the mean score) or above 1e-6.  In 3,000,000 more, the
-#: 4,923 with equal model means and an untied top eigenvalue had every first
-#: loading either below 1e-15 (an exact 0 in rounding) or above 2.9e-3.
-ANCHOR_TOL = 1e-9
 
 
 def assert_matches(got, want, tol=None):
@@ -1030,7 +1064,7 @@ def assert_matches(got, want, tol=None):
 
 
 def assert_pc1_matches(column, want):
-    """A pc1 column against ``pca_oracle``'s: in the top eigenspace with norm s_0 and a non-negative anchor when tied, else entrywise."""
+    """A pc1 column against ``pca_oracle``'s: in the top eigenspace with norm s_0 and a non-negative anchor when tied, else entrywise, sign included."""
     got, ref = np.array(column), np.array(want["pc1"])
     s0 = float(np.linalg.norm(ref))
     if want["gap"] <= TIED_GAP:
@@ -1039,13 +1073,10 @@ def assert_pc1_matches(column, want):
         assert np.abs(got - space @ (space.T @ got)).max() <= PC1_TOL * s0
         assert float(got @ want["means"]) >= -PC1_TOL * s0 * float(np.linalg.norm(want["means"]))
         return
-    tol = PC1_TOL * s0 / want["gap"]
-    # rounding decides the sign where pc1 is orthogonal to the mean scores, or, where they are
-    # all equal, where the first loading is itself at rounding level
-    if abs(want["anchor"] if any(want["means"]) else want["lead"]) <= ANCHOR_TOL:
-        assert min(np.abs(got - ref).max(), np.abs(got + ref).max()) <= tol
-    else:
-        assert np.abs(got - ref).max() <= tol
+    # sign included: in 200,000 random draws of ``report_inputs``' shapes and grid, every anchor cosine
+    # was below 1.1e-14 (pc1 orthogonal to the mean scores) or above 2.8e-6, and every pc1 loading over
+    # the largest below 4.5e-14 or above 7.1e-6, so neither sits near ``SIGN_FLOOR``
+    assert np.abs(got - ref).max() <= PC1_TOL * s0 / want["gap"]
 
 
 class TestReportOracle:
@@ -1074,6 +1105,8 @@ class TestReportOracle:
     @given(report_inputs())
     @example(TIED_TOP_FILES)
     @example(TIED_MEANS_FILES)
+    @example(TIED_MEANS_ROW_ORDER_FILES[0])
+    @example(TIED_MEANS_ROW_ORDER_FILES[1])
     def test_evr_and_pc1_tables_match_an_svd(self, files):
         with tempfile.TemporaryDirectory(prefix="benchrank-report-") as tmp:
             work = Path(tmp)
@@ -1142,3 +1175,63 @@ class TestReportOracle:
     @given(agree_inputs(ties=False))
     def test_agree_tau_matches_the_oracle(self, text):
         self.check_agree(text, "tau", 0.05)
+
+
+def _reversed_rows(text: str) -> str:
+    """A CSV with its data rows in reverse order: the benchmarks and models listed first come last."""
+    header, *rows = text.splitlines()
+    return "\n".join([header, *rows[::-1]]) + "\n"
+
+
+class TestRowOrder:
+    """pc1 and its tau against compute do not depend on the order of the input rows."""
+
+    @staticmethod
+    def pc1_columns(files: dict[str, str], work: Path) -> dict:
+        """``report`` and ``pca`` (both preprocessings, on each score file) run on ``files`` in ``work``.
+
+        Returns, by column, the pc1 scores by model, the top two
+        eigenvalues, and ``report``'s tau for the column, or ``None``.
+        """
+        for name, text in files.items():
+            (work / name).write_text(text, encoding="utf-8")
+        argv = [str(work / a) if a in files or a == "rep" else a for a in REPORT_ARGV]
+        assert run_cli(argv) == 0
+        evr, pc1 = (load_artifact(work / "rep" / f"{kind}.json") for kind in ("evr", "pc1_compute"))
+        columns = {}
+        for mode in ("direct", "train_before_test"):
+            scores = {row["model"]: row[f"pc1_{mode}"] for row in pc1["models"]}
+            columns[f"report {mode}"] = (scores, evr["modes"][mode]["eigenvalues"][:2], pc1["tau"][mode])
+        for scores_file in ("direct.csv", "tbt.csv"):
+            for prep in ("center", "zscore"):
+                out = work / f"pca-{scores_file}-{prep}.json"
+                argv = ["pca", "--scores", str(work / scores_file), "--preprocess", prep, "--top-k", "1"]
+                assert run_cli([*argv, "--out", str(out)]) == 0
+                payload = load_artifact(out)
+                scores = {row["model"]: row["pc1"] for row in payload["pc1_scores"]}
+                columns[f"pca {scores_file} {prep}"] = (scores, payload["eigenvalues"][:2], None)
+        return columns
+
+    @settings(max_examples=60, deadline=None)
+    @given(report_inputs())
+    @example(TIED_MEANS_FILES)
+    @example(TIED_MEANS_ROW_ORDER_FILES[0])
+    @example(TIED_MEANS_ROW_ORDER_FILES[1])
+    def test_reversed_input_rows_keep_pc1_and_its_tau(self, files):
+        with tempfile.TemporaryDirectory(prefix="benchrank-rows-") as tmp:
+            (Path(tmp) / "a").mkdir()
+            (Path(tmp) / "b").mkdir()
+            want = self.pc1_columns(files, Path(tmp) / "a")
+            got = self.pc1_columns({name: _reversed_rows(text) for name, text in files.items()}, Path(tmp) / "b")
+        for name, (scores, (lam0, lam1), tau) in want.items():
+            gap = (lam0 - lam1) / lam0
+            if gap <= TIED_GAP:
+                continue  # no single first component: pc1 is any vector of the tied space
+            models = sorted(scores)
+            a = np.array([scores[mod] for mod in models])
+            b = np.array([got[name][0][mod] for mod in models])
+            tol = PC1_TOL * float(np.linalg.norm(a)) / gap
+            assert np.abs(a - b).max() <= tol, name
+            # either of two pc1 values may move by tol, so their order is fixed only beyond 2 tol
+            if tau is not None and np.diff(np.sort(a)).min() > 2 * tol:
+                assert got[name][2] == tau, name

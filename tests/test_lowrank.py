@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -126,6 +127,22 @@ class TestFitPca:
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(r.components[:, 0], [s, -s], atol=1e-12)
         assert np.allclose(r.pc1_scores, [-3 * s, -s, s, 3 * s], atol=1e-12)
+
+    def test_pc1_sign_at_tied_means_ignores_row_order(self):
+        # every model's mean is 0.375, so the loading of the smallest benchmark id decides the sign;
+        # b0's exact loading is 0, and eigh returns it as +-0 or as rounding noise depending on the
+        # row order, so b1, the smallest id above the rounding floor, decides
+        scores = np.array([[0.25, 0.25, 0.0], [0.0, 0.75, 0.25], [0.5, 0.5, 1.0], [0.75, 0.0, 0.25]])
+        want = fit_pca(matrix(scores))
+        assert abs(want.components[0, 0]) < 1e-15 and want.components[1, 0] > 0.5
+        for rows in itertools.permutations(range(4)):
+            for cols in itertools.permutations(range(3)):
+                m = make_score_matrix(
+                    [f"b{i}" for i in rows], [f"m{j}" for j in cols], scores[np.ix_(rows, cols)], np.zeros((4, 3))
+                )
+                got = fit_pca(m)
+                assert np.abs(got.pc1_scores - want.pc1_scores[list(cols)]).max() <= 1e-12
+                assert np.abs(got.components[:, 0] - want.components[list(rows), 0]).max() <= 1e-12
 
     def test_tied_eigenvalues_keep_eigh_order(self):
         # Hadamard rows make the centred benchmarks orthogonal, so the covariance
