@@ -14,7 +14,9 @@ id holding a character ``str.splitlines`` breaks on; use ``.json`` for those.
 A file whose kept lines hold no ``"`` and pass every check is parsed column
 by column, stripping or parsing each distinct raw id, direction and ``n``
 once; any other is read row by row, by the one reader that names the line
-of an error.  The CLI reads each input file once.
+of an error.  The column parser needs six fields a line, by an exact count:
+one right modulo six would read two short lines as one row.  The CLI reads
+each input file once.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -29,7 +31,7 @@ import hashlib
 import io as _stdio
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -227,21 +229,29 @@ def _score_columns(text: str) -> tuple | None:
     """What :func:`_score_rows` returns, parsed column by column; ``None`` unless every row is clean.
 
     Clean rows hold no quote (so commas split them as ``csv.reader`` does) and pass every check there.
+    Data lines are joined by ``",\\n"`` (one also leads) and split once: each has 6 fields iff ``n`` lines give
+    ``1 + 6 * n`` fields and every benchmark field opens a line.  A count right only modulo 6 reads ``b0,A,0.5``
+    and ``0.01,,higher`` as one row, since ``float()`` strips the ``"\\n"`` of ``"\\n0.01"``.
     Each distinct raw field is stripped or parsed once; numbers are parsed unstripped, since ``float()`` and
     ``int()`` take 25 of ``str.strip``'s 29 pads and refuse ``'\\x1c'``-``'\\x1f'``, so those fall back.
     """
     lines = [line for line in text.splitlines() if line.strip() and line[0] != "#"]  # the lines _csv_rows keeps
     width = len(SCORE_CSV_HEADER)
-    if len(lines) < 2 or '"' in "".join(lines) or set(map(str.count, lines, repeat(","))) != {width - 1}:
+    if len(lines) < 2 or [f.strip() for f in lines[0].split(",")] != SCORE_CSV_HEADER:
         return None
-    if [f.strip() for f in lines[0].split(",")] != SCORE_CSV_HEADER or max(map(len, lines)) > csv.field_size_limit():
-        return None  # a bad header, or a line (and so maybe a field) longer than csv.reader allows
-    fields = ",".join(lines[1:]).split(",")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # a line (and so maybe a field) longer than csv.reader allows
+    joined = ",\n" + ",\n".join(lines[1:])
+    fields = joined.split(",")
+    if '"' in joined or len(fields) != 1 + width * (len(lines) - 1):
+        return None
     del lines
-    b_col, m_col, s_col, e_col, n_col, d_col = (fields[k::width] for k in range(width))
+    b_col, m_col, s_col, e_col, n_col, d_col = (fields[k + 1 :: width] for k in range(width))
     rows = len(b_col)
     b_at, m_at = {}, {}  # stripped id -> index, in first-seen order; b_of and m_of map each raw id to it
     b_of = {raw: b_at.setdefault(raw.strip(), len(b_at)) for raw in dict.fromkeys(b_col)}
+    if not all(raw[:1] == "\n" for raw in b_of):
+        return None
     m_of = {raw: m_at.setdefault(raw.strip(), len(m_at)) for raw in dict.fromkeys(m_col)}
     try:
         n_of = {raw: int(raw) if raw.strip() else None for raw in dict.fromkeys(n_col)}
@@ -395,6 +405,9 @@ def render_artifact(payload: dict) -> str:
     the indent of the container's items.  An encoded JSON string never holds
     a raw newline, so those separators are the only line breaks between the
     brackets, and each item sits on its own line as ``indent=2`` lays it out.
+    A list or tuple of records (all non-empty dicts, or all non-empty lists or
+    tuples, of scalars) is one call too: no encoded scalar ends in a bracket or
+    holds a raw newline, so a closing bracket, separator and opening bracket meet only between records.
     Scalars and keys are encoded by the stdlib too, so a NaN or infinite float
     raises ``ValueError`` ("... not JSON compliant") instead of writing
     invalid JSON, and a value or key ``json.dumps`` refuses raises
@@ -422,13 +435,24 @@ def _emit(value: dict | list | tuple, depth: int) -> str:
     encode = _encoder(depth)
     items = value.values() if opening == "{" else value
     if any(issubclass(t, _CONTAINERS) for t in set(map(type, items))):
-        items = [_emit(v, depth + 1) if isinstance(v, _CONTAINERS) else encode(v) for v in items]
-        if opening == "{":
-            items = [f"{_key(k, encode)}: {v}" for k, v in zip(value, items)]
-        body = ("," + inner).join(items)
+        if not (body := opening == "[" and _record_list_body(value, depth, inner)):
+            items = [_emit(v, depth + 1) if isinstance(v, _CONTAINERS) else encode(v) for v in items]
+            if opening == "{":
+                items = [f"{_key(k, encode)}: {v}" for k, v in zip(value, items)]
+            body = ("," + inner).join(items)
     else:
         body = encode(value)[1:-1]
     return f"{opening}{inner}{body}\n{'  ' * depth}{closing}"
+
+
+def _record_list_body(value: list | tuple, depth: int, inner: str) -> str | None:
+    """:func:`_emit`'s body of a list of records (see :func:`render_artifact`), in one encode; else ``None``."""
+    kind, (o, c) = (dict, "{}") if isinstance(value[0], dict) else ((list, tuple), "[]")
+    records = [r.values() if kind is dict else r for r in value if isinstance(r, kind) and r]
+    if len(records) < len(value) or any(issubclass(t, _CONTAINERS) for t in {*map(type, chain(*records))}):
+        return None
+    body = _encoder(depth + 1)(value)[2:-2].replace(f"{c},{inner}  {o}", f"{inner}{c},{inner}{o}{inner}  ")
+    return f"{o}{inner}  {body}{inner}{c}"
 
 
 def _key(key, encode) -> str:

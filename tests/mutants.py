@@ -125,13 +125,14 @@ MUTANTS = [
     Mutant(
         "crossings-le",
         "src/benchrank/alignment.py",
-        "np.count_nonzero(pos[i + 1 :] < p)",
-        "np.count_nonzero(pos[i + 1 :] <= p)",
+        "np.count_nonzero(h > rest)",
+        "np.count_nonzero(h >= rest)",
         equivalent=(
-            "the task-2 ranks listed in order1's order are a permutation, so no later rank equals p "
-            "and <= counts the same entries as <"
+            "the task-2 ranks listed in order1's order are a permutation, so no rank after a block equals one in it "
+            "and >= counts the same entries as >"
         ),
     ),
+    Mutant("crossing-block-no-triu", "src/benchrank/alignment.py", "np.triu(h > h.T, 1)", "(h > h.T)"),
     Mutant(
         "bulk-loader-misses-duplicates",
         "src/benchrank/io.py",
@@ -144,6 +145,27 @@ MUTANTS = [
         "src/benchrank/io.py",
         "(n is None or n >= 1)",
         "(n is None or n >= 0)",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "bulk-row-count-modulo",
+        "src/benchrank/io.py",
+        "len(fields) != 1 + width * (len(lines) - 1)",
+        "len(fields) % width != 1",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "bulk-no-first-field-check",
+        "src/benchrank/io.py",
+        '    if not all(raw[:1] == "\\n" for raw in b_of):\n        return None\n',
+        "",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "emit-record-boundary",
+        "src/benchrank/io.py",
+        '.replace(f"{c},{inner}  {o}",',
+        '.replace(f",{inner}  {o}",',
         tests=IO_TESTS,
     ),
     Mutant(

@@ -318,6 +318,13 @@ TRICKY_CSVS = {  # each a data-row body under SCORES_CSV's header; the per-row l
     "underscored-and-padded-numbers": "mnli,A,1_0, 0.01 ,\t7,higher\nmnli,B,-0,0.01,7 ,lower \n",
     "raw-variants-of-one-benchmark": ("mnli,A,0.61,0.01,10,higher\nmnli,B,0.72,0.01,010, higher\n"
                                       "mnli,C,0.5,0.01,1_0,higher\nmnli,D,0.4,0.01, 10\t, higher\n"),
+    # lines whose fields sum to whole rows: the bulk split must not read them as rows
+    "short-lines-form-one-row": "b0,A,0.5\n0.01,,higher\n",
+    "seven-then-five-at-the-first-row": ("b0,A,0.5,0.01,,higher,b0\nB,0.6,0.01,,higher\n"
+                                         "b1,A,0.7,0.01,,lower\nb1,B,0.8,0.01,,lower\n"),
+    "seven-then-five-at-the-last-row": ("b0,A,0.5,0.01,,higher\nb0,B,0.6,0.01,,higher\n"
+                                        "b1,A,0.7,0.01,,lower,b1\nB,0.8,0.01,,lower\n"),
+    "four-then-eight": "b0,A,0.5,0.01\n,higher,b0,B,0.6,0.01,,higher\n",
 }
 
 #: the characters str.strip removes; float() and int() take all but '\x1c'..'\x1f' as padding
@@ -479,6 +486,30 @@ class TestColumnarLoader:
         _refuse_per_row(monkeypatch)
         assert _outcome(lambda: load_scores(p)) == want
 
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("shape", ["7-then-5", "4-then-8", "3-then-3"])
+    def test_misshapen_line_pair_in_a_leaderboard_shaped_file(self, tmp_path, shape, at):
+        # two lines whose fields make whole rows, among 9,600 clean ones: the per-row loop names the first line
+        nb, nm = 16, 600
+        m = make_score_matrix(
+            [f"task{i:02d}" for i in range(nb)],
+            [f"m{j:04d}" for j in range(nm)],
+            np.linspace(0, 1, nb * nm).reshape(nb, nm),
+            np.full((nb, nm), 0.01),
+            n_items=[100] * nb,
+            direction=["higher"] * nb,
+        )
+        lines = render_scores_csv(m).splitlines()
+        cut, span = {"7-then-5": (7, 2), "4-then-8": (4, 2), "3-then-3": (3, 1)}[shape]  # 3-then-3 splits one row
+        i = {"first": 2, "middle": 4801, "last": len(lines) - span}[at]
+        fields = ",".join(lines[i : i + span]).split(",")
+        lines[i : i + span] = [",".join(fields[:cut]), ",".join(fields[cut:])]
+        p = tmp_path / "s.csv"
+        p.write_text("\n".join(lines) + "\n")
+        want = _outcome(lambda: _per_row(p))
+        assert want[0] is LoadError and re.match(rf"^{re.escape(str(p))}:{i + 1}: expected 6 fields, got ", want[1])
+        assert _outcome(lambda: load_scores(p)) == want
+
     def test_numpy_parses_strings_as_float_does(self):
         # the bulk path parses scores and stderrs with np.array(..., dtype=float) in place of float()
         for raw in ["1_0", "١٢", "-0", "1e400", "nan", " 0.5　", "0x10", "1__0", "\x1c1", "-nan", "-inf", *MUTANT_FIELDS]:
@@ -571,16 +602,51 @@ def _containers(children):
 
 _TREES = _containers(st.recursive(_SCALARS, _containers, max_leaves=24))
 
+# lists of records, which render_artifact encodes in one call: flat dicts or flat lists, with text that looks like
+# the boundary between two records; empty and nested records among them send the list down the per-item path
+_LOOK_ALIKES = st.sampled_from(["}", "{", "},\n    {", "],\n  [", "\n"])
+_RECORD_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT | _LOOK_ALIKES
+_FLAT_DICTS = st.dictionaries(_KEYS | _LOOK_ALIKES, _RECORD_SCALARS, min_size=1, max_size=4)
+_FLAT_LISTS = st.lists(_RECORD_SCALARS, min_size=1, max_size=4)
+_ODD_RECORDS = st.sampled_from([{}, [], ()]) | _containers(_containers(_RECORD_SCALARS))
+
+
+def _record_lists(records):
+    items = st.lists(records, min_size=2, max_size=5)
+    return items | items.map(tuple)
+
+
+def _at_depth(value, wrappers):
+    for wrapper in wrappers:
+        value = [value] if wrapper == "list" else {"k": value}
+    return value
+
+
+_RECORD_LISTS = st.one_of(
+    _record_lists(_FLAT_DICTS | _FLAT_DICTS.map(OrderedDict)),
+    _record_lists(_FLAT_LISTS | _FLAT_LISTS.map(tuple)),
+    _record_lists(_FLAT_DICTS | _FLAT_LISTS),
+    _record_lists(_FLAT_DICTS | _FLAT_LISTS | _ODD_RECORDS),
+)
+_RECORD_PAYLOADS = st.builds(_at_depth, _RECORD_LISTS, st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+
 
 class TestRenderArtifact:
-    @settings(max_examples=200, deadline=None)
-    @given(_TREES)
+    @settings(max_examples=500, deadline=None)
+    @given(_TREES | _RECORD_PAYLOADS)
     def test_matches_json_dumps_indent_2(self, payload):
         assert render_artifact(payload) == json_artifact(payload)
 
-    # a value as an item of a container of scalars and of a container of containers, and as a key of each
-    VALUE_PLACES = [lambda v: {"a": [1.0, v]}, lambda v: {"a": [[1.0], v]}, lambda v: {"a": {"b": [], "c": v}}]
-    KEY_PLACES = [lambda v: {"a": {v: 1}}, lambda v: {"a": [{"b": []}, {v: []}]}]
+    # a value as an item of a container of scalars, of a container of containers and of a list of records, and as
+    # a key of each
+    VALUE_PLACES = [
+        lambda v: {"a": [1.0, v]},
+        lambda v: {"a": [[1.0], v]},
+        lambda v: {"a": {"b": [], "c": v}},
+        lambda v: {"a": [{"b": 1}, {"c": v}]},
+        lambda v: {"a": [[1.0], (2.0, v)]},
+    ]
+    KEY_PLACES = [lambda v: {"a": {v: 1}}, lambda v: {"a": [{"b": []}, {v: []}]}, lambda v: {"a": [{"b": 1}, {v: 1}]}]
 
     @pytest.mark.parametrize("place", VALUE_PLACES + KEY_PLACES)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
