@@ -43,7 +43,19 @@ The minimum is found exactly without scanning all |F1| * |F2| pairs:
   vanilla ranks in 1..n, that is the smallest integer key over F1, where a
   model's key is vanilla2 in A1 and vanilla2 + n in B1; and likewise for m2.
 
-Each step therefore costs O(|F1| + |F2|) plus the edges it releases.
+Three heaps give these minima without scanning a frontier.  F1's models
+sit in one by (key1, k), F2's in one by (key2, k), and the models in both
+frontiers in a third by (vanilla2 + vanilla1, id, k), with the position k
+last: keys and ids are unique, so no comparison reaches it.  Each frontier
+lists the models it releases, and each step first pushes them.  A key never
+changes inside a heap.  Keys fall only for m1 and m2 of a mismatch step,
+which runs only when F1 and F2 share no model, so key2[m1] falls while m1 is
+outside F2, before it is ever pushed there; key1[m2] likewise.  So an entry
+goes stale only when its model leaves the frontier.  A model in both
+frontiers leaves them only when the common heap pops it, so that heap holds
+no stale entry, and the F1 and F2 heaps drop theirs as they surface.  Each
+model enters each heap at most once, so the greedy costs O(n log n) plus the
+edges it releases.
 
 A partial order is held as a threshold split.  Its models get
 coordinates 0..M-1, in descending oriented score for
@@ -56,9 +68,10 @@ variance replaced by the task's smallest variance fails up to a band
 start b_r and passes from it on, and with the largest variance likewise
 from f_r on.  A pair passing with the largest variance passes the real
 test, and one passing the real test passes with the smallest, because
-rounding of +, sqrt and / is monotone: the split is exact.  One
-vectorised bisection through the z-test finds b_r and f_r for all rows,
-and only the band pairs [b_r, f_r) take the real test.
+rounding of +, sqrt and / is monotone: the split is exact.  A
+searchsorted seed and one vectorised bisection through the z-test find b_r
+and f_r for all rows (:func:`_thresholds`), and only the band pairs
+[b_r, f_r) take the real test.
 
 The frontier of a split order is a threshold plus band in-degrees.  A
 suffix blocks column j exactly when an unplaced row has f_r <= j, that
@@ -74,6 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -218,18 +232,38 @@ def _thresholds(s, var, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
     Row r's band starts at the first column j > r whose pair passes the
     z-test with var_j replaced by the smallest variance, and its suffix at
     the first that passes with the largest; at len(s) where none does.
-    One bisection over all 2M (row, variance) pairs finds both.
+    Each of the 2M (row, variance v) pairs is seeded with g, the first
+    column after r whose score lies below the cut s_r - z * sqrt(var_r + v),
+    found by one searchsorted over the ascending scores.  The z-test at g
+    and at g - 1 narrows the pair's bracket [r + 1, len(s)], and one
+    vectorised bisection closes the brackets still open.  The result is
+    exact whatever the seeds: along a descending row the z-test fails up
+    to the answer and passes from it on, so each test only moves a bracket
+    end towards the answer.  A right seed passes and g - 1 fails, which
+    closes the bracket.  The cut is rounded differently from the z-test, so
+    a score within a few ulps of it can make the seed miss, and the
+    bisection then finishes that bracket.
     """
     m = len(s)
     rows = np.tile(np.arange(m), 2)
     other = np.repeat([var.min(), var.max()], m)
+    # the seed: the first column below the cut s_r - z * sqrt(var_r + v), not before r + 1
+    with np.errstate(over="ignore"):
+        cut = s[rows] - critical_z * np.sqrt(var[rows] + other)
+    seed = np.maximum(m - np.searchsorted(s[::-1], cut), rows + 1)
     lo, hi = rows + 1, np.full(2 * m, m)
-    live = np.arange(2 * m)
-    while (live := live[lo[live] < hi[live]]).size:
-        mid = (lo[live] + hi[live]) // 2
+
+    def narrow(live, mid):
         _, passed = _z_test(s[rows[live]], s[mid], var[rows[live]], other[live], critical_z)
         hi[live[passed]] = mid[passed]
         lo[live[~passed]] = mid[~passed] + 1
+
+    for col in (seed, seed - 1):
+        live = np.flatnonzero((lo <= col) & (col < hi))
+        narrow(live, col[live])
+    live = np.arange(2 * m)
+    while (live := live[lo[live] < hi[live]]).size:
+        narrow(live, (lo[live] + hi[live]) // 2)
     return lo[:m], lo[m:]
 
 
@@ -257,7 +291,9 @@ class _Frontier:
 
     ``available`` holds the models at unplaced coordinates below ``bound``,
     the smallest suffix start of an unplaced row, with no band edge left
-    from an unplaced row.
+    from an unplaced row.  ``fresh`` lists the models added to
+    ``available`` since its owner last cleared it, each once, for the
+    greedy's heaps.
     """
 
     def __init__(self, po: PartialOrder, models: tuple[Hashable, ...]):
@@ -275,6 +311,7 @@ class _Frontier:
         self.by_stop = np.argsort(stop).tolist() + [None]
         self.next, self.bound = 0, 0
         self.available: set[int] = set()
+        self.fresh: list[int] = []
         self._advance()
 
     def _advance(self) -> None:
@@ -285,7 +322,9 @@ class _Frontier:
         self.next = p
         bound = len(placed) if by_stop[p] is None else self.stop[by_stop[p]]
         # columns at or above the old bound were blocked, so none is placed yet
-        self.available.update(self.pos[c] for c in range(self.bound, bound) if not self.indeg[c])
+        released = [self.pos[c] for c in range(self.bound, bound) if not self.indeg[c]]
+        self.available.update(released)
+        self.fresh += released
         self.bound = bound
 
     def remove(self, k: int) -> None:
@@ -297,8 +336,16 @@ class _Frontier:
             indeg[j] -= 1
             if not indeg[j] and j < bound:
                 self.available.add(self.pos[j])
+                self.fresh.append(self.pos[j])
         if self.by_stop[self.next] == c:
             self._advance()
+
+
+def _pop_available(heap: list[tuple[int, int]], available: set[int]) -> int:
+    """Pop ``heap``'s entries down to its smallest one whose model is still in ``available``; return that model."""
+    while heap[0][1] not in available:
+        heappop(heap)
+    return heappop(heap)[1]
 
 
 def parallel_greedy_rank(
@@ -327,26 +374,39 @@ def parallel_greedy_rank(
     vr1 = vanilla_ranks(score1, models).tolist()
     vr2 = vanilla_ranks(score2, models).tolist()
     f1, f2 = _Frontier(g1, models), _Frontier(g2, models)
+    a1, a2 = f1.available, f2.available
     # a mismatch step picks m1 by key1 = vanilla2, plus n until m1 is placed in order2,
-    # so models already in the other order come first; key2 likewise for m2
+    # so models already in the other order come first; key2 likewise for m2.  A key is
+    # fixed while its model is in the frontier (module docstring), so heap entries keep it
     n = len(models)
     key1 = [r + n for r in vr2]
     key2 = [r + n for r in vr1]
+    # heaps of F1 by key1, F2 by key2, and the models in both frontiers by (vanilla2 + vanilla1, id)
+    h1: list[tuple[int, int]] = []
+    h2: list[tuple[int, int]] = []
+    common: list[tuple[int, Hashable, int]] = []
     order1: list[Hashable] = []
     order2: list[Hashable] = []
     for _ in range(n):
-        if not f1.available or not f2.available:
+        if not a1 or not a2:
             raise AlignmentError("cyclic partial order: frontier exhausted before all models placed")
-        common = f1.available & f2.available
+        for k in f1.fresh:
+            heappush(h1, (key1[k], k))
+        for k in f2.fresh:
+            heappush(h2, (key2[k], k))
+        for k in a2.intersection(f1.fresh) | a1.intersection(f2.fresh):
+            heappush(common, (vr2[k] + vr1[k], models[k], k))
+        f1.fresh.clear()
+        f2.fresh.clear()
         if common:
-            k1 = k2 = min(common, key=lambda k: (vr2[k] + vr1[k], models[k]))
+            k1 = k2 = heappop(common)[-1]
         else:
-            k1 = min(f1.available, key=key1.__getitem__)
-            k2 = min(f2.available, key=key2.__getitem__)
+            k1 = _pop_available(h1, a1)
+            k2 = _pop_available(h2, a2)
+            key2[k1] -= n
+            key1[k2] -= n
         order1.append(models[k1])
         order2.append(models[k2])
-        key2[k1] -= n
-        key1[k2] -= n
         f1.remove(k1)
         f2.remove(k2)
     return tuple(order1), tuple(order2)

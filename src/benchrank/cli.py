@@ -137,7 +137,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pca", help="explained variance and pc1 scores")
     p.add_argument("--scores", required=True)
     p.add_argument("--preprocess", choices=lowrank.PREPROCESSINGS, default="center")
-    p.add_argument("--top-k", type=_int_at_least(1), default=5)
+    p.add_argument(
+        "--top-k",
+        type=_int_at_least(1),
+        default=None,
+        help="components whose variance ratios top_k_share sums (default: 5, or every component when fewer)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_pca)
 
@@ -255,18 +260,18 @@ def _cmd_align(args, manifest: RunManifest) -> list[tuple[Path, str]]:
 def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     m = load_scores(args.scores)
     result = fit_pca(m, preprocessing=args.preprocess)
-    if args.top_k > result.n_components:
-        raise LoadError(
-            f"--top-k {args.top_k} exceeds the {result.n_components} available components"
-        )
+    top_k = min(5, result.n_components) if args.top_k is None else args.top_k
+    if top_k > result.n_components:
+        raise LoadError(f"--top-k {top_k} exceeds the {result.n_components} available components")
+    manifest = replace(manifest, flags={**manifest.flags, "top_k": top_k})
     fields = {
         "preprocessing": result.preprocessing,
         "benchmark_ids": list(result.benchmark_ids),
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "explained_variance_ratio": [float(v) for v in result.evr],
-        "top_k": args.top_k,
-        "top_k_evr": [float(v) for v in result.evr[: args.top_k]],
-        "top_k_share": explained_variance_share(result, args.top_k),
+        "top_k": top_k,
+        "top_k_evr": [float(v) for v in result.evr[:top_k]],
+        "top_k_share": explained_variance_share(result, top_k),
         "pc1_scores": [{"model": mod, "pc1": float(v)} for mod, v in zip(result.model_ids, result.pc1_scores)],
     }
     return [_artifact(args.out, "pca", manifest, fields)]

@@ -113,14 +113,39 @@ MUTANTS = [
         "if not indeg[j] and j < bound:",
         "if not indeg[j] and j <= bound:",
     ),
-    Mutant("greedy-key2-not-lowered", "src/benchrank/alignment.py", "        key2[k1] -= n\n", ""),
+    Mutant("greedy-key2-not-lowered", "src/benchrank/alignment.py", "            key2[k1] -= n\n", ""),
+    Mutant("greedy-key1-not-lowered", "src/benchrank/alignment.py", "            key1[k2] -= n\n", ""),
     # the small greedy oracle cases kill this too; here it checks that the leaderboard-scale relations do
     Mutant(
         "greedy-common-tie-by-position",
         "src/benchrank/alignment.py",
-        "min(common, key=lambda k: (vr2[k] + vr1[k], models[k]))",
-        "min(common, key=lambda k: (vr2[k] + vr1[k], k))",
+        "(vr2[k] + vr1[k], models[k], k)",
+        "(vr2[k] + vr1[k], k, k)",
         tests=METAMORPHIC_TESTS,
+    ),
+    Mutant(
+        "greedy-heap-keeps-placed-models",
+        "src/benchrank/alignment.py",
+        "while heap[0][1] not in available:",
+        "while False:",
+    ),
+    Mutant(
+        "greedy-common-heap-misses-f2-releases",
+        "src/benchrank/alignment.py",
+        "a2.intersection(f1.fresh) | a1.intersection(f2.fresh)",
+        "a2.intersection(f1.fresh)",
+    ),
+    Mutant(
+        "frontier-band-release-not-fresh",
+        "src/benchrank/alignment.py",
+        "                self.fresh.append(self.pos[j])\n",
+        "",
+    ),
+    Mutant(
+        "thresholds-trust-seed",
+        "src/benchrank/alignment.py",
+        "lo, hi = rows + 1, np.full(2 * m, m)",
+        "lo = hi = seed",
     ),
     Mutant(
         "crossings-le",

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from benchrank import rankstats
+from benchrank import alignment, rankstats
 from benchrank.alignment import (
     AlignedRanking,
     AlignmentError,
@@ -128,7 +128,45 @@ def split_cases():
                 yield s, draw(n)
 
 
+def near_cut_cases():
+    """(scores, stderrs) whose scores lie a few ulps around row 0's cut s_0 - z * sqrt(var_0 + var).
+
+    There the searchsorted seed of ``_thresholds`` can miss, and the bisection
+    must finish the bracket.
+    """
+    yield (
+        np.array([0.49519449898383283, 0.05057095321423312, 0.050570953214233105, 0.0505709532142331, -0.9494290467857669]),
+        np.array([0.18971736220506324] + [0.12437671855927657] * 4),
+    )
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        top, se0, se = rng.uniform(0, 1), rng.uniform(0, 0.2), rng.uniform(0, 0.2)
+        near = [top - CFG.critical_z * math.sqrt(se0 * se0 + se * se)]
+        for _ in range(3):
+            near = [np.nextafter(near[0], np.inf), *near, np.nextafter(near[-1], -np.inf)]
+        yield np.array([top, *near, near[-1] - 1.0]), np.array([se0] + [se] * (len(near) + 1))
+
+
 class TestThresholdSplit:
+    def test_edges_match_oracle_a_few_ulps_around_a_cut(self, pair_chunk, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rankstats._z_test(*args)
+
+        bisected = []
+        for s, e in near_cut_cases():
+            assert build_partial_order(s, e, CFG).edges == frozenset(oracle_ends(s, e))
+            order = np.argsort(-s)
+            with monkeypatch.context() as patch:
+                patch.setattr(alignment, "_z_test", counted)
+                calls.clear()
+                alignment._thresholds(s[order], rankstats._variances(e[order]), CFG.critical_z)
+            # two calls test the seeds; any further call is a bisection step
+            bisected.append(len(calls) > 2)
+        assert bisected[0] and sum(bisected) >= 5
+
     def test_edges_match_oracle_at_edge_cases(self, pair_chunk):
         for s, e in split_cases():
             assert build_partial_order(s, e, CFG).edges == frozenset(oracle_ends(s, e))

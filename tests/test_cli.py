@@ -567,6 +567,23 @@ class TestSubcommandArtifacts:
         assert payload["top_k_share"] == sum(evr[:3])
         assert len(payload["pc1_scores"]) == 8
 
+    @pytest.mark.parametrize("n_benchmarks", [2, 3, 4])
+    def test_pca_default_top_k_is_every_component_below_five(self, tmp_path, capsys, n_benchmarks):
+        scores, out = tmp_path / "s.csv", tmp_path / "p.json"
+        rows = [f"b{b},m{j},{(j + 1) * (b + 2) % 5 / 4},0.01,,higher" for b in range(n_benchmarks) for j in range(3)]
+        scores.write_text("\n".join(["benchmark,model,score,stderr,n,direction", *rows]) + "\n")
+        assert run_cli(["pca", "--scores", str(scores), "--out", str(out)]) == 0
+        payload = load_artifact(out)
+        assert payload["top_k"] == n_benchmarks == len(payload["top_k_evr"])
+        assert payload["top_k_share"] == sum(payload["explained_variance_ratio"])
+        assert _manifest_of(out)["flags"]["top_k"] == n_benchmarks
+        out.unlink()
+        capsys.readouterr()
+        argv = ["pca", "--scores", str(scores), "--top-k", str(n_benchmarks + 1), "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: input: --top-k {n_benchmarks + 1} exceeds the {n_benchmarks} available components\n"
+        assert not out.exists()
+
     def test_pca_zscore_flag(self, workspace):
         out = workspace / "pca_z.json"
         assert run_cli(["pca", "--scores", str(workspace / "direct.csv"), "--preprocess", "zscore", "--out", str(out)]) == 0
