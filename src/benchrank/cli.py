@@ -71,9 +71,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 _CLI_MODES = {"direct": "direct", "tbt": "train_before_test"}
-#: Parsed arguments that name input files; the manifest records each with its
-#: sha256.  Every other parsed option is recorded as a flag.
-_INPUT_ARGS = ("scores", "scores_a", "scores_b", "scores_direct", "scores_tbt", "categories", "models", "config")
 
 
 class UsageError(Exception):
@@ -119,15 +116,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("agree", help="pairwise rank agreement between benchmarks")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, type=_Input)
     p.add_argument("--method", choices=["tau", "tau-b"], default="tau")
     p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_agree)
 
     p = sub.add_parser("align", help="aligned paired rankings for two benchmarks")
-    p.add_argument("--scores-a", required=True)
-    p.add_argument("--scores-b", required=True)
+    p.add_argument("--scores-a", required=True, type=_Input)
+    p.add_argument("--scores-b", required=True, type=_Input)
     p.add_argument("--benchmark-a", required=True)
     p.add_argument("--benchmark-b", required=True)
     p.add_argument("--alpha", type=_alpha, default=0.05)
@@ -135,7 +132,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_align)
 
     p = sub.add_parser("pca", help="explained variance and pc1 scores")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, type=_Input)
     p.add_argument("--preprocess", choices=lowrank.PREPROCESSINGS, default="center")
     p.add_argument(
         "--top-k",
@@ -147,22 +144,22 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_pca)
 
     p = sub.add_parser("flops", help="pre-training compute per model")
-    p.add_argument("--models", required=True)
+    p.add_argument("--models", required=True, type=_Input)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_flops)
 
     p = sub.add_parser("simulate", help="generate a synthetic score matrix")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, type=_Input)
     p.add_argument("--mode", choices=sorted(_CLI_MODES), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("report", help="all figure-data tables for a direct/train-before-test pair")
-    p.add_argument("--scores-direct", required=True)
-    p.add_argument("--scores-tbt", required=True)
-    p.add_argument("--categories", required=True)
-    p.add_argument("--models", required=True)
+    p.add_argument("--scores-direct", required=True, type=_Input)
+    p.add_argument("--scores-tbt", required=True, type=_Input)
+    p.add_argument("--categories", required=True, type=_Input)
+    p.add_argument("--models", required=True, type=_Input)
     p.add_argument("--out-dir", required=True)
     # runs without --align-pair share this default list (append copies it first): never change it in place
     p.add_argument(
@@ -467,11 +464,10 @@ def run_cli(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as e:
         return int(e.code or 0)
-    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler")}
-    inputs = {k: options.pop(k) for k in _INPUT_ARGS if k in options}
+    # the file options; RunManifest.build's hash is each file's one read, and the handler parses those bytes
+    inputs = {k: v for k, v in vars(args).items() if isinstance(v, _Input)}
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler", *inputs)}
     try:
-        inputs = {k: _Input(inputs[k]) for k in sorted(inputs)}  # read in the manifest's order
-        vars(args).update(inputs)
         manifest = RunManifest.build(args.subcommand, inputs, options, __version__)
         writes = args.handler(args, manifest)
     except (TieError, DegenerateError) as e:

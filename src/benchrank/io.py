@@ -16,7 +16,8 @@ by column, stripping or parsing each distinct raw id, direction and ``n``
 once; any other is read row by row, by the one reader that names the line
 of an error.  The column parser needs six fields a line, by an exact count:
 one right modulo six would read two short lines as one row.  The CLI reads
-each input file once.
+each input file once, when the run manifest hashes it; the loader parses
+those bytes.
 
 Floats are serialized with Python's shortest round-trip representation,
 so write -> read -> write is byte-stable.  Artifacts carry no timestamps:
@@ -63,19 +64,19 @@ class LoadError(ValueError):
 
 
 class _Input(str):
-    """An input path holding its bytes, read once, until one text read takes them; it formats as the path."""
-
-    def __new__(cls, path: str):
-        self = super().__new__(cls, path)
-        self.data = _read(path, binary=True)
-        return self
+    """A file option's path, as the CLI parser types it (no I/O); :func:`_read` keeps its bytes once read."""
 
 
 def _read(path: str | Path, binary: bool = False) -> str | bytes:
-    """A file's (or :class:`_Input`'s) bytes, or its text as ``open`` reads it; a bad file raises :class:`LoadError`."""
+    """A file's bytes, or its text as ``open`` reads it; a bad file raises :class:`LoadError`.
+
+    An :class:`_Input` keeps its bytes from their first read (the manifest's hash) until a text read takes them.
+    """
     try:
-        data = (path.data if binary else vars(path).pop("data")) if type(path) is _Input else Path(path).read_bytes()
+        kept = vars(path) if type(path) is _Input else {}
+        data = kept.pop("data") if "data" in kept else Path(path).read_bytes()
         if binary:
+            kept["data"] = data
             return data
         text = data.decode("utf-8")
         return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -217,12 +218,18 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     """Read a score matrix from long CSV or canonical JSON, chosen by the path's suffix.
 
     Every (benchmark, model) pair must appear exactly once and the matrix
-    must be complete; sparse input is rejected rather than imputed.
+    must be complete; sparse input is rejected rather than imputed.  A matrix
+    that :func:`make_score_matrix` refuses raises :class:`LoadError` naming the path.
     """
     if infer_format(path) == "canonical-json":
-        return _load_scores_json(path)
-    text = _read(path)
-    return make_score_matrix(*(_score_columns(text) or _score_rows(path, text)))
+        columns = _load_scores_json(path)
+    else:
+        text = _read(path)
+        columns = _score_columns(text) or _score_rows(path, text)
+    try:
+        return make_score_matrix(*columns)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise LoadError(f"{path}: {e}") from e
 
 
 def _score_columns(text: str) -> tuple | None:
@@ -322,7 +329,8 @@ def load_json_object(path: str | Path) -> dict:
     return payload
 
 
-def _load_scores_json(path: str | Path) -> ScoreMatrix:
+def _load_scores_json(path: str | Path) -> tuple:
+    """What :func:`_score_rows` returns, from a canonical JSON file whose keys hold the right types."""
     payload = load_json_object(path)
     for key in ARTIFACT_SCHEMAS["score_matrix"]:
         if key not in payload:
@@ -336,17 +344,7 @@ def _load_scores_json(path: str | Path) -> ScoreMatrix:
         rows = payload[key]
         if not isinstance(rows, list) or not all(isinstance(r, list) and {*map(type, r)} <= {int, float} for r in rows):
             raise LoadError(f"{path}: {key} must be a list of rows of numbers")
-    try:
-        return make_score_matrix(
-            payload["benchmark_ids"],
-            payload["model_ids"],
-            payload["scores"],
-            payload["stderrs"],
-            n_items=payload["n_items"],
-            direction=payload["direction"],
-        )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise LoadError(f"{path}: {e}") from e
+    return tuple(payload[key] for key in ("benchmark_ids", "model_ids", "scores", "stderrs", "n_items", "direction"))
 
 
 def _records(path: str | Path, header: list[str], what: str, build) -> list:

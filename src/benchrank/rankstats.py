@@ -275,7 +275,7 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
     oriented = np.stack([oriented_scores(m, b) for b in m.benchmark_ids])
     stderrs = m.stderrs
     if method == "tau":
-        _refuse_ties(oriented, m.benchmark_ids, "benchmark {!r} has exact score ties; use tau_b")
+        _refuse_ties(oriented, m.benchmark_ids, "benchmark {!r} has exact score ties; use tau-b")
         stderrs = np.zeros_like(stderrs)
     values, degenerate = _tau_b_matrix(oriented, stderrs, cfg.critical_z)
     values.setflags(write=False)

@@ -383,6 +383,27 @@ MUTANTS = [
         "",
         tests=CLI_TESTS,
     ),
+    Mutant(
+        "input-bytes-not-kept",
+        "src/benchrank/io.py",
+        '            kept["data"] = data\n',
+        "",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "categories-not-a-file-option",
+        "src/benchrank/cli.py",
+        'p.add_argument("--categories", required=True, type=_Input)',
+        'p.add_argument("--categories", required=True)',
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "csv-matrix-error-without-path",
+        "src/benchrank/io.py",
+        "        columns = _score_columns(text) or _score_rows(path, text)\n",
+        "        return make_score_matrix(*(_score_columns(text) or _score_rows(path, text)))\n",
+        tests=CLI_TESTS,
+    ),
 ]
 
 

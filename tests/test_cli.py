@@ -447,6 +447,33 @@ class TestInputErrors:
         assert capsys.readouterr().err == "error: input: the two score matrices cover different model sets\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["align", "report"])
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [(2, "nan", "non-finite score"), (2, "1e999", "non-finite score"), (3, "-0.01", "negative stderr")],
+        ids=["nan", "1e999", "negative-stderr"],
+    )
+    def test_invalid_csv_value_names_the_file(self, workspace, monkeypatch, capsys, subcommand, field, value, reason):
+        # the second score file is the bad one, so a message without the path could name either
+        monkeypatch.chdir(workspace)
+        lines = (workspace / "tbt.csv").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("bench00,"))
+        cells = lines[at].split(",")
+        cells[field] = value
+        lines[at] = ",".join(cells)
+        (workspace / "bad.csv").write_text("\n".join(lines) + "\n")
+        if subcommand == "align":
+            argv = ["align", "--scores-a", "direct.csv", "--scores-b", "bad.csv",
+                    "--benchmark-a", "bench00", "--benchmark-b", "bench01", "--out", "al.json"]  # fmt: skip
+        else:
+            argv = ["bad.csv" if a == "tbt.csv" else a for a in REPORT_ARGV]
+        before = set(workspace.iterdir())
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: input: bad.csv: {reason} at benchmark 'bench00'"), err
+        assert set(workspace.iterdir()) == before
+
 
 class TestDegenerateExits:
     def test_agree_tau_with_exact_ties(self, tmp_path, capsys):
@@ -460,6 +487,21 @@ class TestDegenerateExits:
         assert run_cli(["agree", "--scores", str(p), "--method", "tau", "--out", str(out)]) == 3
         assert "error: degenerate:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tie_hint_names_a_method_the_cli_takes(self, tmp_path, capsys):
+        p = tmp_path / "tie.csv"
+        p.write_text(
+            "benchmark,model,score,stderr,n,direction\n"
+            "b0,A,0.5,0.01,,higher\nb0,B,0.5,0.01,,higher\nb0,C,0.7,0.01,,higher\n"
+            "b1,A,0.1,0.01,,higher\nb1,B,0.2,0.01,,higher\nb1,C,0.3,0.01,,higher\n"
+        )
+        out = tmp_path / "a.json"
+        assert run_cli(["agree", "--scores", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: degenerate: benchmark 'b0' has exact score ties; use tau-b"]
+        assert not out.exists()
+        assert run_cli(["agree", "--scores", str(p), "--method", "tau-b", "--out", str(out)]) == 0
+        assert load_artifact(out)["method"] == "tau-b"
 
     def test_agree_tau_b_fully_tied_row(self, tmp_path):
         # huge stderrs tie everything: every cell degenerate, means undefined

@@ -176,7 +176,7 @@ class TestLoadScoresCsv:
             "benchmark,model,score,stderr,n,direction\n"
             "mnli,A,0.5,-0.01,,higher\nmnli,B,0.6,0.01,,higher\n"
         )
-        with pytest.raises(ScoreMatrixError, match="negative stderr"):
+        with pytest.raises(LoadError, match="s.csv: negative stderr"):
             load_scores(p)
 
     def test_missing_file(self, tmp_path):
