@@ -13,9 +13,10 @@ of the bytes the subcommand parses, and every other option with its
 resolved value.  Exit codes: 0 success, 1 usage error (reported before any
 input is read), 2 input validation failure or an unwritable artifact path,
 3 numerical degeneracy.  One machine-parsable reason line is printed to
-stderr on failure.  No artifact file is written when a run fails before
-writing; when writing itself fails, the files written before the failure
-(and directories created for them) remain, since writes are not atomic.
+stderr on failure.  Writes are all-or-nothing: each artifact is written to
+a temp file beside its target, and the temp files replace their targets only
+after all of them are written, so a run that fails, writing included, leaves
+no artifact, no temp file and no directory it created.
 ``run_cli`` may be called any number of times in one process: the parser is
 built on the first call, reused after it, and holds no per-run state.
 """
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +113,12 @@ def _align_pair(text: str) -> str:
 
 @functools.cache  # built on the first run_cli call, not at import
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="benchrank", description=__doc__)
+    parser = _Parser(
+        prog="benchrank",
+        description="Rank agreement, aligned rankings, PCA and compute tables from benchmark score matrices. "
+        "A run writes all of its artifacts or none. Exit codes: 0 success, 1 usage error, "
+        "2 invalid input or unwritable output, 3 numerical degeneracy.",
+    )
     parser.add_argument("--version", action="version", version=f"benchrank {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -453,6 +460,38 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     return [_artifact(out / f"{kind}.json", kind, manifest, fields) for kind, fields in tables.items()]
 
 
+def _write_all(writes: list[tuple[Path, str]]) -> None:
+    """Write every ``(path, text)`` or none: an ``OSError`` removes the temp files and the directories made here.
+
+    Each text goes to a temp file beside its target, and the temp files replace their targets only after all
+    are written; a target that is a directory is refused before any temp file replaces its target.
+    """
+    made = []  # directories this call created, outermost first
+    staged = []  # (temp file, target)
+    try:
+        for path, text in writes:
+            for d in reversed([*takewhile(lambda p: not p.exists(), (path.parent, *path.parent.parents))]):
+                d.mkdir()
+                made.append(d)
+            if path.is_dir():
+                raise IsADirectoryError(f"{path}: is a directory")
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(text)
+        for tmp, path in staged:
+            tmp.replace(path)
+    except OSError:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)  # a temp file that replaced its target is gone already
+        for d in reversed(made):
+            try:
+                d.rmdir()
+            except OSError:  # it holds an artifact that replaced its target before the failure
+                pass
+        raise
+
+
 def run_cli(argv=None) -> int:
     """Parse argv, run one subcommand, write its artifacts. Returns the exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -478,13 +517,12 @@ def run_cli(argv=None) -> int:
         print(f"error: input: {msg}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        for path, text in writes:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path}")
+        _write_all(writes)
     except OSError as e:
         print(f"error: output: {e}", file=sys.stderr)
         return EXIT_INPUT
+    for path, _ in writes:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

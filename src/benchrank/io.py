@@ -13,8 +13,10 @@ raises ``ValueError`` for a benchmark id that starts with ``#`` and for any
 id holding a character ``str.splitlines`` breaks on; use ``.json`` for those.
 A file whose kept lines hold no ``"`` and pass every check is parsed column
 by column, stripping or parsing each distinct raw id, direction and ``n``
-once; any other is read row by row, by the one reader that names the line
-of an error.  The column parser needs six fields a line, by an exact count:
+once, and each distinct score and stderr string once when at most 40% of
+those strings are distinct (k/n scores repeat; past that share the count
+costs more than it saves, and every string is parsed); any other is read row
+by row, by the one reader that names the line of an error.  The column parser needs six fields a line, by an exact count:
 one right modulo six would read two short lines as one row.  The CLI reads
 each input file once, when the run manifest hashes it; the loader parses
 those bytes.
@@ -44,6 +46,9 @@ FORMAT_VERSION = 1
 SCORE_CSV_HEADER = ["benchmark", "model", "score", "stderr", "n", "direction"]
 MODEL_CSV_HEADER = ["model", "family", "params_b", "tokens_b", "instruction_tuned"]
 CATEGORY_CSV_HEADER = ["benchmark", "category"]
+#: the bulk CSV loader parses each distinct score and stderr string once when at most this share of them is
+#: distinct (the break-even measured on 19,200 k/n strings); above it, it parses every string
+_PARSE_ONCE_SHARE = 0.4
 
 #: Required keys per artifact kind, used by :func:`validate_artifact`.
 ARTIFACT_SCHEMAS = {
@@ -239,8 +244,12 @@ def _score_columns(text: str) -> tuple | None:
     Data lines are joined by ``",\\n"`` (one also leads) and split once: each has 6 fields iff ``n`` lines give
     ``1 + 6 * n`` fields and every benchmark field opens a line.  A count right only modulo 6 reads ``b0,A,0.5``
     and ``0.01,,higher`` as one row, since ``float()`` strips the ``"\\n"`` of ``"\\n0.01"``.
-    Each distinct raw field is stripped or parsed once; numbers are parsed unstripped, since ``float()`` and
-    ``int()`` take 25 of ``str.strip``'s 29 pads and refuse ``'\\x1c'``-``'\\x1f'``, so those fall back.
+    Each distinct raw id, direction and ``n`` is stripped or parsed once; numbers are parsed unstripped, since
+    ``float()`` and ``int()`` take 25 of ``str.strip``'s 29 pads and refuse ``'\\x1c'``-``'\\x1f'``, so those
+    fall back.  Scores and stderrs are parsed by one ``np.array(..., dtype=float)`` call: of each distinct string
+    when at most ``_PARSE_ONCE_SHARE`` (40%) of the ``2 * rows`` strings are distinct (the score column is
+    counted first, and alone may pass the limit), else of every string.  Both give the same bits, since a
+    float64 survives ``.tolist()`` and ``np.fromiter`` unchanged; the share chooses only the faster one.
     """
     lines = [line for line in text.splitlines() if line.strip() and line[0] != "#"]  # the lines _csv_rows keeps
     width = len(SCORE_CSV_HEADER)
@@ -260,9 +269,18 @@ def _score_columns(text: str) -> tuple | None:
     if not all(raw[:1] == "\n" for raw in b_of):
         return None
     m_of = {raw: m_at.setdefault(raw.strip(), len(m_at)) for raw in dict.fromkeys(m_col)}
+    limit = _PARSE_ONCE_SHARE * 2 * rows
+    distinct = set(s_col)  # the score column first: on distinct values it alone passes the limit
+    if len(distinct) <= limit:
+        distinct.update(e_col)
     try:
         n_of = {raw: int(raw) if raw.strip() else None for raw in dict.fromkeys(n_col)}
-        values = np.array([s_col, e_col], dtype=float)
+        if len(distinct) <= limit:  # the same conversion of each string, and float64 -> float -> float64 is exact
+            raws = [*distinct]
+            parsed = dict(zip(raws, np.array(raws, dtype=float).tolist()))
+            values = np.fromiter(map(parsed.__getitem__, chain(s_col, e_col)), float, 2 * rows).reshape(2, rows)
+        else:
+            values = np.array([s_col, e_col], dtype=float)
     except ValueError:
         return None
     # one (benchmark, direction, n) per benchmark iff every row agrees with its benchmark's first

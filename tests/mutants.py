@@ -187,6 +187,40 @@ MUTANTS = [
         tests=IO_TESTS,
     ),
     Mutant(
+        "parse-once-stderrs-from-scores",
+        "src/benchrank/io.py",
+        "map(parsed.__getitem__, chain(s_col, e_col))",
+        "map(parsed.__getitem__, chain(s_col, s_col))",
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "parse-once-share-inverted",
+        "src/benchrank/io.py",
+        "    if len(distinct) <= limit:\n"
+        "        distinct.update(e_col)\n"
+        "    try:\n"
+        "        n_of = {raw: int(raw) if raw.strip() else None for raw in dict.fromkeys(n_col)}\n"
+        "        if len(distinct) <= limit:",
+        "    distinct.update(e_col)\n"
+        "    try:\n"
+        "        n_of = {raw: int(raw) if raw.strip() else None for raw in dict.fromkeys(n_col)}\n"
+        "        if len(distinct) > limit:",
+        equivalent=(
+            "both branches give the same bits: each distinct string goes through the np.array(..., dtype=float) "
+            "conversion the other branch applies to every string, and a float64 survives .tolist() and "
+            "np.fromiter unchanged, -0.0 included; a bad number raises ValueError in either, so the file falls "
+            "back to the per-row loop; the share changes only the speed"
+        ),
+        tests=IO_TESTS,
+    ),
+    Mutant(
+        "write-fault-keeps-temp-files",
+        "src/benchrank/cli.py",
+        "            tmp.unlink(missing_ok=True)",
+        "            pass",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
         "emit-record-boundary",
         "src/benchrank/io.py",
         '.replace(f"{c},{inner}  {o}",',

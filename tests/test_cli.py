@@ -124,6 +124,11 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_cli(["--help"]) == 0
 
+    def test_help_describes_the_command_not_its_code(self, capsys):
+        assert run_cli(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "benchrank" in out and "run_cli" not in out and "``" not in out
+
     def test_version_prints_only_the_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert capsys.readouterr() == (f"benchrank {__version__}\n", "")
@@ -836,6 +841,28 @@ class TestParserReuse:
         assert _manifest_of(workspace / "rep_default" / "mean_agreement.json")["flags"]["align_pairs"] == []
 
 
+def _tree(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, or ``None`` for a directory."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+class _FullDisk:
+    """A text file whose write stores half its text and then fails as a full disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
 class TestReport:
     def run_report(self, workspace, out_dir, extra=()):
         argv = [
@@ -848,6 +875,39 @@ class TestReport:
             *extra,
         ]
         return run_cli(argv)
+
+    def test_wrote_lines_come_after_all_writes_in_table_order(self, workspace, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert self.run_report(workspace, out) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in REPORT_FILES)
+        assert sorted(p.name for p in out.iterdir()) == sorted(REPORT_FILES)  # no temp file is left
+
+    def test_directory_in_place_of_an_artifact_leaves_the_out_dir_as_it_was(self, workspace, tmp_path, capsys):
+        out = tmp_path / "rep"
+        (out / "evr.json").mkdir(parents=True)
+        (out / "mean_agreement.json").write_text("an older artifact\n")
+        before = _tree(tmp_path)
+        assert self.run_report(workspace, out) == 2
+        assert capsys.readouterr() == ("", f"error: output: {out / 'evr.json'}: is a directory\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_fault_on_the_kth_write_leaves_no_artifact(self, workspace, tmp_path, monkeypatch, capsys, k):
+        out = tmp_path / "new" / "rep"  # two directories the run must create, and so remove
+        before = _tree(tmp_path)
+        opened = []
+
+        def open_failing_kth(file, *args, **kwargs):
+            f = open(file, *args, **kwargs)
+            opened.append(file)
+            return _FullDisk(f) if len(opened) == k else f
+
+        monkeypatch.setattr(cli, "open", open_failing_kth, raising=False)
+        assert self.run_report(workspace, out) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr == "error: output: [Errno 28] No space left on device\n"
+        assert len(opened) == k and all(Path(f).parent == out for f in opened)
+        assert _tree(tmp_path) == before
 
     def test_emits_all_five_tables(self, workspace, tmp_path):
         out = tmp_path / "rep"

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from collections import OrderedDict
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -508,6 +509,70 @@ class TestColumnarLoader:
         p.write_text("\n".join(lines) + "\n")
         want = _outcome(lambda: _per_row(p))
         assert want[0] is LoadError and re.match(rf"^{re.escape(str(p))}:{i + 1}: expected 6 fields, got ", want[1])
+        assert _outcome(lambda: load_scores(p)) == want
+
+    @pytest.mark.parametrize("variant", ["plain", "padded", "underscored", "negative-zero", "bad-number"])
+    def test_leaderboard_of_repeated_k_over_n_scores(self, tmp_path, monkeypatch, variant):
+        # k/n scores and their binomial stderrs repeat, so the bulk path parses each distinct string once
+        rng = np.random.default_rng(11)
+        nb, nm = 16, 600
+        n = rng.integers(80, 121, nb)
+        scores = rng.binomial(n[:, None], rng.random((nb, 1)) * 0.8 + 0.1, (nb, nm)) / n[:, None]
+        m = make_score_matrix(
+            [f"task{i:02d}" for i in range(nb)],
+            [f"m{j:04d}" for j in range(nm)],
+            scores,
+            np.sqrt(scores * (1 - scores) / n[:, None]),
+            n_items=[int(k) for k in n],
+            direction=["higher"] * nb,
+        )
+        lines = render_scores_csv(m).splitlines()
+        header_at = lines.index(",".join(SCORE_CSV_HEADER)) + 1
+        rows = [line.split(",") for line in lines[header_at:]]
+        numbers = [f for row in rows for f in row[2:4]]
+        assert len(set(numbers)) <= io._PARSE_ONCE_SHARE * len(numbers) / 2  # well inside the parse-once side
+        bad_at = None
+        for k in rng.choice(len(rows), 40, replace=False):
+            row = rows[k]
+            if variant == "padded":
+                row[2], row[3] = f" {row[2]}\t", f"\u3000{row[3]} "
+            elif variant == "underscored" and len(row[2]) > 3:
+                row[2] = f"{row[2][:3]}_{row[2][3:]}"
+            elif variant == "negative-zero":
+                row[2] = "-0"
+        if variant == "bad-number":
+            bad_at = int(rng.integers(len(rows)))
+            rows[bad_at][3] = "0.0x1"
+        p = tmp_path / "s.csv"
+        p.write_text("\n".join(lines[:header_at] + [",".join(row) for row in rows]) + "\n", encoding="utf-8")
+        want = _outcome(lambda: _per_row(p))
+        if bad_at is None:
+            assert want[0] == m.benchmark_ids
+            _refuse_per_row(monkeypatch)
+        else:
+            assert want == (LoadError, f"{p}:{header_at + bad_at + 1}: cannot parse stderr '0.0x1'")
+        assert _outcome(lambda: load_scores(p)) == want
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2], ids=["below", "at", "above", "two-above"])
+    @pytest.mark.parametrize("in_scores", ["half", "all-but-one"])
+    def test_files_around_the_parse_once_share(self, tmp_path, monkeypatch, offset, in_scores):
+        # 50 rows hold 100 numbers; a file on either side of the share gives the per-row loop's bits.  Scores
+        # holding all but one distinct string reach the limit alone at "two-above"
+        nb, nm = 5, 10
+        limit = io._PARSE_ONCE_SHARE * 2 * nb * nm
+        assert limit == int(limit)
+        distinct = int(limit) + offset
+        score_strings = distinct // 2 if in_scores == "half" else distinct - 1
+        scores = [repr(k / 64) for k in range(score_strings)]
+        stderrs = [repr(1 + k / 1000) for k in range(distinct - score_strings)]  # none equals a score string
+        cells = zip(range(nb * nm), cycle(scores), cycle(stderrs))
+        body = [f"b{k // nm},m{k % nm},{score},{stderr},,higher" for k, score, stderr in cells]
+        assert len({f for line in body for f in line.split(",")[2:4]}) == distinct
+        p = tmp_path / "s.csv"
+        p.write_text("\n".join([",".join(SCORE_CSV_HEADER), *body]) + "\n")
+        want = _outcome(lambda: _per_row(p))
+        assert want[0] == tuple(f"b{i}" for i in range(nb))
+        _refuse_per_row(monkeypatch)
         assert _outcome(lambda: load_scores(p)) == want
 
     def test_numpy_parses_strings_as_float_does(self):
