@@ -57,24 +57,10 @@ no stale entry, and the F1 and F2 heaps drop theirs as they surface.  Each
 model enters each heap at most once, so the greedy costs O(n log n) plus the
 edges it releases.
 
-A partial order is held as a threshold split.  Its models get
-coordinates 0..M-1, in descending oriented score for
-:func:`build_partial_order`, and row r's edges go only to later columns,
-which split into a prefix with no edge, a thin band whose columns are
-tested one by one, and a suffix, from column f_r on, that is all edges.
-In descending score order a row's gaps never shrink along the row.  So
-the z-test (:func:`~benchrank.rankstats._z_test`) with the column's
-variance replaced by the task's smallest variance fails up to a band
-start b_r and passes from it on, and with the largest variance likewise
-from f_r on.  A pair passing with the largest variance passes the real
-test, and one passing the real test passes with the smallest, because
-rounding of +, sqrt and / is monotone: the split is exact.  A
-searchsorted seed and one vectorised bisection through the z-test find b_r
-and f_r for all rows (:func:`_thresholds`), and only the band pairs
-[b_r, f_r) take the real test.
-
-The frontier of a split order is a threshold plus band in-degrees.  A
-suffix blocks column j exactly when an unplaced row has f_r <= j, that
+A partial order is held as a threshold split (:class:`_Split`); a
+score-built one is rankstats' (:func:`~benchrank.rankstats._significance_split`).
+Its frontier is a threshold plus band in-degrees.  A suffix, from column
+f_r on, blocks column j exactly when an unplaced row r has f_r <= j, that
 is when j >= F, the smallest f_r over unplaced rows.  F only grows, and a
 pointer over the rows in f_r order keeps it current, so the frontier is
 the unplaced columns j < F whose band in-degree is 0, kept as Python
@@ -92,8 +78,7 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import rankstats
-from .rankstats import SignificanceConfig, _checked, _variances, _z_test
+from .rankstats import SignificanceConfig, _checked, _significance_split
 
 
 class AlignmentError(ValueError):
@@ -101,12 +86,7 @@ class AlignmentError(ValueError):
 
 
 class _Split(NamedTuple):
-    """A partial order's threshold split, in coordinates 0..M-1 (see the module docstring).
-
-    Coordinate c is model ``order[c]`` (a position in ``model_ids``).  Row c
-    beats every column from ``stop[c]`` on, and the band columns
-    ``band[start[c] : start[c + 1]]``, all below ``stop[c]``.
-    """
+    """The ``(order, stop, band, start)`` of :func:`~benchrank.rankstats._significance_split`."""
 
     order: np.ndarray
     stop: np.ndarray
@@ -197,74 +177,14 @@ def build_partial_order(
 
     Scores must already be oriented (greater means better).  For every
     distinct model pair, a directed edge winner -> loser is added iff the
-    difference passes the two-sided z-test.  The order is held as the
-    threshold split of the module docstring, with the models in descending
-    score order as coordinates; the band pairs take the z-test about
-    ``_PAIR_CHUNK`` pairs at a time.
+    difference passes the two-sided z-test.  The order is held as rankstats'
+    threshold split, with the models in descending score order as coordinates.
     """
     scores, stderrs = _checked(scores, stderrs, AlignmentError)
     if len(scores) < 1:
         raise AlignmentError("need at least one model")
     ids = _default_ids(len(scores), model_ids)
-    order = np.argsort(-scores)
-    s, var = scores[order], _variances(stderrs[order])
-    m, z = len(s), cfg.critical_z
-    first, stop = _thresholds(s, var, z)
-    # band pairs are numbered row by row; row r's numbers end at ends[r] as its columns end at stop[r]
-    ends = np.cumsum(stop - first)
-    shift, total, chunk = stop - ends, int(ends[-1]), rankstats._PAIR_CHUNK
-    band, counts = [order[:0]], np.zeros(m, dtype=np.intp)
-    for p in range(0, total, chunk):
-        at = np.arange(p, min(p + chunk, total))
-        rows = np.searchsorted(ends, at, side="right")
-        cols = at + shift[rows]
-        _, passed = _z_test(s[rows], s[cols], var[rows], var[cols], z)
-        band.append(cols[passed])
-        counts += np.bincount(rows[passed], minlength=m)
-    start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(counts, out=start[1:])
-    return PartialOrder(ids, _Split(order, stop, np.concatenate(band), start))
-
-
-def _thresholds(s, var, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Band starts and suffix starts of the rows of descending scores ``s`` (see the module docstring).
-
-    Row r's band starts at the first column j > r whose pair passes the
-    z-test with var_j replaced by the smallest variance, and its suffix at
-    the first that passes with the largest; at len(s) where none does.
-    Each of the 2M (row, variance v) pairs is seeded with g, the first
-    column after r whose score lies below the cut s_r - z * sqrt(var_r + v),
-    found by one searchsorted over the ascending scores.  The z-test at g
-    and at g - 1 narrows the pair's bracket [r + 1, len(s)], and one
-    vectorised bisection closes the brackets still open.  The result is
-    exact whatever the seeds: along a descending row the z-test fails up
-    to the answer and passes from it on, so each test only moves a bracket
-    end towards the answer.  A right seed passes and g - 1 fails, which
-    closes the bracket.  The cut is rounded differently from the z-test, so
-    a score within a few ulps of it can make the seed miss, and the
-    bisection then finishes that bracket.
-    """
-    m = len(s)
-    rows = np.tile(np.arange(m), 2)
-    other = np.repeat([var.min(), var.max()], m)
-    # the seed: the first column below the cut s_r - z * sqrt(var_r + v), not before r + 1
-    with np.errstate(over="ignore"):
-        cut = s[rows] - critical_z * np.sqrt(var[rows] + other)
-    seed = np.maximum(m - np.searchsorted(s[::-1], cut), rows + 1)
-    lo, hi = rows + 1, np.full(2 * m, m)
-
-    def narrow(live, mid):
-        _, passed = _z_test(s[rows[live]], s[mid], var[rows[live]], other[live], critical_z)
-        hi[live[passed]] = mid[passed]
-        lo[live[~passed]] = mid[~passed] + 1
-
-    for col in (seed, seed - 1):
-        live = np.flatnonzero((lo <= col) & (col < hi))
-        narrow(live, col[live])
-    live = np.arange(2 * m)
-    while (live := live[lo[live] < hi[live]]).size:
-        narrow(live, (lo[live] + hi[live]) // 2)
-    return lo[:m], lo[m:]
+    return PartialOrder(ids, _Split(*_significance_split(scores, stderrs, cfg.critical_z)))
 
 
 def vanilla_ranks(scores, model_ids: Sequence[Hashable] | None = None) -> np.ndarray:

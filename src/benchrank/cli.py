@@ -14,9 +14,13 @@ resolved value.  Exit codes: 0 success, 1 usage error (reported before any
 input is read), 2 input validation failure or an unwritable artifact path,
 3 numerical degeneracy.  One machine-parsable reason line is printed to
 stderr on failure.  Writes are all-or-nothing: each artifact is written to
-a temp file beside its target, and the temp files replace their targets only
-after all of them are written, so a run that fails, writing included, leaves
-no artifact, no temp file and no directory it created.
+a temp file beside its target, each older artifact is hard-linked to a backup
+beside it, and only then do the temp files replace their targets.  A failed
+rename puts the backups back and removes the new artifacts, so a run that
+fails, writing and renaming included, leaves every older artifact as it was
+and no artifact, temp file, backup or directory it created.  On a file system
+that refuses hard links, runs go on without backups, and a failed rename can
+leave an older artifact replaced by its new text.
 ``run_cli`` may be called any number of times in one process: the parser is
 built on the first call, reused after it, and holds no per-run state.
 """
@@ -24,6 +28,7 @@ built on the first call, reused after it, and holds no per-run state.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -116,8 +121,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="benchrank",
         description="Rank agreement, aligned rankings, PCA and compute tables from benchmark score matrices. "
-        "A run writes all of its artifacts or none. Exit codes: 0 success, 1 usage error, "
-        "2 invalid input or unwritable output, 3 numerical degeneracy.",
+        "A run writes all of its artifacts or none: a failed write or rename leaves every older artifact as it was. "
+        "Exit codes: 0 success, 1 usage error, 2 invalid input or unwritable output, 3 numerical degeneracy.",
     )
     parser.add_argument("--version", action="version", version=f"benchrank {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -461,13 +466,18 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
 
 
 def _write_all(writes: list[tuple[Path, str]]) -> None:
-    """Write every ``(path, text)`` or none: an ``OSError`` removes the temp files and the directories made here.
+    """Write every ``(path, text)`` or none: an ``OSError`` puts back each older artifact and removes what was made.
 
-    Each text goes to a temp file beside its target, and the temp files replace their targets only after all
-    are written; a target that is a directory is refused before any temp file replaces its target.
+    Each text goes to a temp file beside its target, and a target that is a directory is refused before any
+    rename.  Each older artifact is then hard-linked to a backup beside it, and only then do the temp files
+    replace their targets.  When a rename fails, the backups go back over the targets already replaced and the
+    replaced targets that had no older artifact are unlinked.  Where a hard link is refused the run goes on
+    without that backup, so a failed rename leaves that target's new text if its rename came first.
     """
     made = []  # directories this call created, outermost first
     staged = []  # (temp file, target)
+    olds = {}  # target -> the backup of its older artifact, or None where the hard link was refused
+    replaced = []  # targets a temp file has replaced
     try:
         for path, text in writes:
             for d in reversed([*takewhile(lambda p: not p.exists(), (path.parent, *path.parent.parents))]):
@@ -479,17 +489,34 @@ def _write_all(writes: list[tuple[Path, str]]) -> None:
             staged.append((tmp, path))
             with open(tmp, "w", encoding="utf-8") as f:
                 f.write(text)
+        for _, path in staged:
+            backup = path.with_name(f".{path.name}.{os.getpid()}.bak")
+            try:
+                os.link(path, backup, follow_symlinks=False)
+            except FileNotFoundError:  # no older artifact
+                continue
+            except OSError:
+                backup = None
+            olds[path] = backup
         for tmp, path in staged:
             tmp.replace(path)
+            replaced.append(path)
     except OSError:
+        for path in replaced:
+            with contextlib.suppress(OSError):  # the error reported is the one that stopped the writes
+                if path not in olds:
+                    path.unlink()
+                elif olds[path]:
+                    olds[path].replace(path)
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)  # a temp file that replaced its target is gone already
         for d in reversed(made):
-            try:
+            with contextlib.suppress(OSError):  # it still holds a file that could not be removed
                 d.rmdir()
-            except OSError:  # it holds an artifact that replaced its target before the failure
-                pass
         raise
+    finally:
+        for backup in filter(None, olds.values()):
+            backup.unlink(missing_ok=True)  # a backup put back over its target is gone already
 
 
 def run_cli(argv=None) -> int:

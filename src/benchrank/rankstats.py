@@ -8,19 +8,40 @@ pair whose gap is not significant: (C - D) / sqrt((C + D + Tx)(C + D + Ty)).
 ``kendall_tau`` is the plain (C - D) / (n(n-1)/2); it refuses exact ties,
 and without them it is tau-b at zero stderrs, bit for bit.
 
-The test is one helper, ``_z_test``, and it has two callers.
-``_sign_gram`` tests each unordered pair of models i < j once per
-benchmark, a block of model rows at a time so no array holds the signs of
-every pair.  A pair's sign is that of s_i - s_j where the gap is
-significant and 0 where it is not; pairs are concordant when their signs
-agree, and score gaps are never multiplied (the product can underflow).
-With S the B x M(M-1)/2 signs, S S^T holds C - D for every benchmark pair
-(a, b), with no halving, and its diagonal the number of pairs significant
-on each benchmark; taken on b, that is C + D + Tx.  These are every count
-that tau, tau-b and ``significant_difference`` read.  The partial orders
-of :mod:`~benchrank.alignment` call ``_z_test`` directly: on the models in
-descending score order, to find each row's band and suffix thresholds and
-to test the band pairs between them.  (The alignment's crossings are an
+The test is one helper, ``_z_test``, and this module owns both layouts
+of the pairs it tests.  ``_sign_gram`` tests each unordered pair of
+models i < j once per benchmark, a block of model rows at a time so no
+array holds the signs of every pair.  A pair's sign is that of s_i - s_j
+where the gap is significant and 0 where it is not; pairs are concordant
+when their signs agree, and score gaps are never multiplied (the product
+can underflow).  With S the B x M(M-1)/2 signs, S S^T holds C - D for
+every benchmark pair (a, b), with no halving, and its diagonal the number
+of pairs significant on each benchmark; taken on b, that is C + D + Tx.
+These are every count that tau, tau-b and ``significant_difference`` read.
+
+``_significance_split`` lays out one task's pairs as a threshold split,
+the partial orders of :mod:`~benchrank.alignment`.  Its models get
+coordinates 0..M-1 in descending score, and row r's significant pairs go
+only to later columns, which split into a prefix with none, a thin band
+whose columns are tested one by one, and a suffix, from column f_r on,
+that is all significant.  In descending score order a row's gaps never
+shrink along the row.  So the z-test with the column's variance replaced
+by the task's smallest variance fails up to a band start b_r and passes
+from it on, and with the largest variance likewise from f_r on.  A pair
+passing with the largest variance passes the real test, and one passing
+the real test passes with the smallest, because rounding of +, sqrt and /
+is monotone: the split is exact.  ``_thresholds`` finds b_r and f_r for
+all 2M (row r, variance v) pairs at once.  Each is seeded with g, the
+first column after r whose score lies below the cut
+s_r - z * sqrt(var_r + v), by one searchsorted; the z-test at g and at
+g - 1 narrows its bracket [r + 1, M], and one vectorised bisection closes
+the brackets still open; a right seed passes and g - 1 fails, which
+closes its bracket.  Whatever the seeds, the result is exact: along
+a row the z-test fails up to the answer and passes from it on, so each
+test only moves a bracket end towards it.  The cut is rounded differently
+from the z-test, so a score within a few ulps of it can make a seed miss,
+and the bisection then finishes that bracket.  Only the band pairs
+[b_r, f_r) take the real test.  (The alignment's crossings are an
 inversion count of its two rankings and read no signs.)
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
@@ -137,7 +158,7 @@ def _refuse_ties(rows, names, message: str) -> None:
 
 #: Score differences per block of :func:`_sign_gram`, summed over every
 #: benchmark; it bounds the Gram's temporaries and matmul sizes,
-#: and the band pairs that one z-test call of ``build_partial_order`` takes.
+#: and the band pairs that one z-test call of :func:`_significance_split` takes.
 _PAIR_CHUNK = 1 << 13
 
 
@@ -199,6 +220,64 @@ def _sign_gram(scores, stderrs, critical_z: float) -> np.ndarray:
         gram += signs @ signs.T
         a += k
     return gram
+
+
+def _significance_split(scores, stderrs, critical_z: float) -> tuple[np.ndarray, ...]:
+    """The threshold split of one task's checked, non-empty vectors (see the module docstring).
+
+    Returns ``(order, stop, band, start)``: coordinate c is model
+    ``order[c]``, in descending score, and row c's significant pairs are
+    every column from ``stop[c]`` on and the band columns
+    ``band[start[c] : start[c + 1]]``, all below ``stop[c]``.
+    """
+    order = np.argsort(-scores)
+    s, var = scores[order], _variances(stderrs[order])
+    m = len(s)
+    first, stop = _thresholds(s, var, critical_z)
+    # band pairs are numbered row by row; row r's numbers end at ends[r] as its columns end at stop[r]
+    ends = np.cumsum(stop - first)
+    shift, total = stop - ends, int(ends[-1])
+    band, counts = [order[:0]], np.zeros(m, dtype=np.intp)
+    for p in range(0, total, _PAIR_CHUNK):
+        at = np.arange(p, min(p + _PAIR_CHUNK, total))
+        rows = np.searchsorted(ends, at, side="right")
+        cols = at + shift[rows]
+        _, passed = _z_test(s[rows], s[cols], var[rows], var[cols], critical_z)
+        band.append(cols[passed])
+        counts += np.bincount(rows[passed], minlength=m)
+    start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(counts, out=start[1:])
+    return order, stop, np.concatenate(band), start
+
+
+def _thresholds(s, var, critical_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band starts b_r and suffix starts f_r of the rows of descending scores ``s`` (see the module docstring).
+
+    Each is the first column after r whose pair passes the z-test with the
+    column's variance replaced by the smallest variance, for b_r, or by the
+    largest, for f_r; len(s) where none does.
+    """
+    m = len(s)
+    rows = np.tile(np.arange(m), 2)
+    other = np.repeat([var.min(), var.max()], m)
+    # the seed: the first column below the cut s_r - z * sqrt(var_r + v), not before r + 1
+    with np.errstate(over="ignore"):
+        cut = s[rows] - critical_z * np.sqrt(var[rows] + other)
+    seed = np.maximum(m - np.searchsorted(s[::-1], cut), rows + 1)
+    lo, hi = rows + 1, np.full(2 * m, m)
+
+    def narrow(live, mid):
+        _, passed = _z_test(s[rows[live]], s[mid], var[rows[live]], other[live], critical_z)
+        hi[live[passed]] = mid[passed]
+        lo[live[~passed]] = mid[~passed] + 1
+
+    for col in (seed, seed - 1):
+        live = np.flatnonzero((lo <= col) & (col < hi))
+        narrow(live, col[live])
+    live = np.arange(2 * m)
+    while (live := live[lo[live] < hi[live]]).size:
+        narrow(live, (lo[live] + hi[live]) // 2)
+    return lo[:m], lo[m:]
 
 
 def _tau_b_matrix(scores, stderrs, critical_z: float) -> tuple[np.ndarray, np.ndarray]:

@@ -97,13 +97,13 @@ MUTANTS = [
     ),
     Mutant(
         "band-rows-side-left",
-        "src/benchrank/alignment.py",
+        "src/benchrank/rankstats.py",
         'np.searchsorted(ends, at, side="right")',
         'np.searchsorted(ends, at, side="left")',
     ),
     Mutant(
         "thresholds-variances-swapped",
-        "src/benchrank/alignment.py",
+        "src/benchrank/rankstats.py",
         "np.repeat([var.min(), var.max()], m)",
         "np.repeat([var.max(), var.min()], m)",
     ),
@@ -143,7 +143,7 @@ MUTANTS = [
     ),
     Mutant(
         "thresholds-trust-seed",
-        "src/benchrank/alignment.py",
+        "src/benchrank/rankstats.py",
         "lo, hi = rows + 1, np.full(2 * m, m)",
         "lo = hi = seed",
     ),
@@ -408,6 +408,13 @@ MUTANTS = [
         "src/benchrank/cli.py",
         "        if d != t:\n",
         "        if False:\n",
+        tests=CLI_TESTS,
+    ),
+    Mutant(
+        "rename-fault-no-rollback",
+        "src/benchrank/cli.py",
+        "        for path in replaced:\n",
+        "        for path in []:\n",
         tests=CLI_TESTS,
     ),
     Mutant(

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from benchrank import alignment, rankstats
+from benchrank import rankstats
 from benchrank.alignment import (
     AlignedRanking,
     AlignmentError,
@@ -151,18 +151,18 @@ class TestThresholdSplit:
     def test_edges_match_oracle_a_few_ulps_around_a_cut(self, pair_chunk, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, _z_test=rankstats._z_test):
             calls.append(args)
-            return rankstats._z_test(*args)
+            return _z_test(*args)
 
         bisected = []
         for s, e in near_cut_cases():
             assert build_partial_order(s, e, CFG).edges == frozenset(oracle_ends(s, e))
             order = np.argsort(-s)
             with monkeypatch.context() as patch:
-                patch.setattr(alignment, "_z_test", counted)
+                patch.setattr(rankstats, "_z_test", counted)
                 calls.clear()
-                alignment._thresholds(s[order], rankstats._variances(e[order]), CFG.critical_z)
+                rankstats._thresholds(s[order], rankstats._variances(e[order]), CFG.critical_z)
             # two calls test the seeds; any further call is a bisection step
             bisected.append(len(calls) > 2)
         assert bisected[0] and sum(bisected) >= 5

@@ -1019,6 +1019,79 @@ class TestReport:
         assert set(payload["tau"]) == {"direct", "train_before_test"}
 
 
+# (argv, the artifacts it writes): run from inside the workspace, every artifact in directories the run may create
+RENAME_CASES = {
+    "report": ([*REPORT_ARGV[:-1], "new/rep"], [f"new/rep/{name}" for name in REPORT_FILES]),
+    "agree": (["agree", "--scores", "direct.csv", "--out", "new/a.json"], ["new/a.json"]),
+    "align": (
+        [
+            "align",
+            "--scores-a", "direct.csv",
+            "--scores-b", "tbt.csv",
+            "--benchmark-a", "bench00",
+            "--benchmark-b", "bench03",
+            "--out", "new/al.json",
+        ],
+        ["new/al.json"],
+    ),
+    "pca": (["pca", "--scores", "tbt.csv", "--out", "new/p.json"], ["new/p.json"]),
+    "flops": (["flops", "--models", "models.csv", "--out", "new/f.json"], ["new/f.json"]),
+    "simulate": (["simulate", "--config", "sim.json", "--mode", "direct", "--out", "new/s.csv"], ["new/s.csv"]),
+}
+
+
+class TestRenamePhase:
+    """The temp files replace their targets last; a failed rename puts every older artifact back."""
+
+    @staticmethod
+    def write_older(workspace, artifacts):
+        """An older artifact at every other target, from the first: the rest do not exist yet."""
+        for name in artifacts[::2]:
+            (workspace / name).parent.mkdir(parents=True, exist_ok=True)
+            (workspace / name).write_text(f"an older {name}\n")
+
+    @pytest.mark.parametrize("older", [False, True], ids=["new-out", "older-artifacts"])
+    @pytest.mark.parametrize(
+        "case, k", [("report", k) for k in range(1, 6)] + [(case, 1) for case in RENAME_CASES if case != "report"]
+    )
+    def test_fault_on_the_kth_rename_leaves_the_tree_as_it_was(self, workspace, monkeypatch, capsys, case, k, older):
+        argv, artifacts = RENAME_CASES[case]
+        monkeypatch.chdir(workspace)
+        if older:
+            self.write_older(workspace, artifacts)
+        before = _tree(workspace)
+        renamed = []
+
+        def replace_failing_kth(path, target, _replace=Path.replace):
+            renamed.append(path)
+            if len(renamed) == k:
+                raise OSError(28, "No space left on device")
+            return _replace(path, target)
+
+        monkeypatch.setattr(Path, "replace", replace_failing_kth)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "error: output: [Errno 28] No space left on device\n")
+        # the fault hit a rename of a temp file, after every temp file was written
+        assert renamed[k - 1].name.endswith(".tmp")
+        assert _tree(workspace) == before
+
+    @pytest.mark.parametrize("link", ["os-link", "refused"])
+    def test_a_run_over_older_artifacts_leaves_only_its_artifacts(self, workspace, monkeypatch, capsys, link):
+        argv, artifacts = RENAME_CASES["report"]
+        monkeypatch.chdir(workspace)
+        self.write_older(workspace, artifacts)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(1, "Operation not permitted")
+
+        if link == "refused":  # as on a file system without hard links: the run goes on without backups
+            monkeypatch.setattr(os, "link", refuse)
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {name}\n" for name in artifacts)
+        assert sorted(p.name for p in (workspace / "new" / "rep").iterdir()) == sorted(REPORT_FILES)
+        assert not any((workspace / name).read_text().startswith("an older") for name in artifacts)
+
+
 @st.composite
 def report_inputs(draw) -> dict[str, str]:
     """The four input files of ``report``, by name: 3-10 models, 2-7 benchmarks, 0-2 of them perplexity rows.

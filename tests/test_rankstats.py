@@ -228,6 +228,17 @@ class TestSignBlocks:
                     found.append((path.name, getattr(scope, "name", None)))
         assert found == [("rankstats.py", "_z_test")]
 
+    def test_alignment_leaves_the_z_test_to_rankstats(self):
+        """``alignment`` imports rankstats' split, not the z-test or its parts, and names none of them."""
+        tree = ast.parse((Path(rankstats.__file__).parent / "alignment.py").read_text(encoding="utf-8"))
+        imports = [
+            (n.module, a.name) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level for a in n.names
+        ]
+        assert imports == [("rankstats", name) for name in ("SignificanceConfig", "_checked", "_significance_split")]
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not names & {"_z_test", "_variances", "_PAIR_CHUNK", "_thresholds", "rankstats"}
+
 
 @pytest.fixture(params=[rankstats._PAIR_CHUNK, 1, STRADDLE_CHUNK], ids=["default-chunk", "chunk-1", "chunk-straddle"])
 def pair_chunk(request, monkeypatch):
