@@ -34,7 +34,7 @@ import os
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from itertools import combinations, product, takewhile
+from itertools import product, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,8 @@ from .lowrank import ComputeRecord, compute_flops, explained_variance_share, fit
 from .rankstats import (
     SignificanceConfig,
     TieError,
-    _defined_mean,
+    _grouped_means,
+    _pair_cells,
     agreement_matrix,
     category_agreement,
     mean_agreement,
@@ -189,8 +190,8 @@ def _build_parser() -> _Parser:
 
 def _matrix_cells(values: np.ndarray, mask: np.ndarray) -> list[list[float | None]]:
     return [
-        [None if mask[i, j] else float(values[i, j]) for j in range(values.shape[1])]
-        for i in range(values.shape[0])
+        [None if masked else v for v, masked in zip(row, mask_row)]
+        for row, mask_row in zip(values.tolist(), mask.tolist())
     ]
 
 
@@ -211,8 +212,8 @@ def _cmd_agree(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         "values": _matrix_cells(am.values, am.degenerate),
         "n_degenerate_cells": int(am.degenerate.sum()) // 2,
         "mean_agreement": [
-            {"benchmark": b, "mean": float(v), "n_excluded": int(k)}
-            for b, v, k in zip(means.benchmark_ids, means.means, means.n_excluded)
+            {"benchmark": b, "mean": v, "n_excluded": k}
+            for b, v, k in zip(means.benchmark_ids, means.means.tolist(), means.n_excluded.tolist())
         ],
     }
     return [_artifact(args.out, "agreement", manifest, fields)]
@@ -276,12 +277,12 @@ def _cmd_pca(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     fields = {
         "preprocessing": result.preprocessing,
         "benchmark_ids": list(result.benchmark_ids),
-        "eigenvalues": [float(v) for v in result.eigenvalues],
-        "explained_variance_ratio": [float(v) for v in result.evr],
+        "eigenvalues": result.eigenvalues.tolist(),
+        "explained_variance_ratio": result.evr.tolist(),
         "top_k": top_k,
-        "top_k_evr": [float(v) for v in result.evr[:top_k]],
+        "top_k_evr": result.evr[:top_k].tolist(),
         "top_k_share": explained_variance_share(result, top_k),
-        "pc1_scores": [{"model": mod, "pc1": float(v)} for mod, v in zip(result.model_ids, result.pc1_scores)],
+        "pc1_scores": [{"model": mod, "pc1": v} for mod, v in zip(result.model_ids, result.pc1_scores.tolist())],
     }
     return [_artifact(args.out, "pca", manifest, fields)]
 
@@ -347,22 +348,32 @@ def _reorder_like(m: ScoreMatrix, benchmark_ids, model_ids) -> ScoreMatrix:
     )
 
 
-def _perplexity_block(am, ppl: list[str]) -> dict:
-    """Labeled sub-table: perplexity rows against each other and against the rest."""
+def _summary_means(am, ppl: list[str]) -> tuple[float | None, dict]:
+    """The overall mean agreement and the perplexity block, every mean from one :func:`_grouped_means` call.
+
+    The overall mean takes every pair i < j.  The block lists the perplexity rows against the rest in
+    ``product`` order and averages them, and averages the perplexity rows against each other in
+    ``combinations`` order.  A mean with no defined cell is None.
+    """
     ids = list(am.benchmark_ids)
+    n = len(ids)
     ppl_idx = [ids.index(b) for b in ppl]
-    down_idx = [i for i in range(len(ids)) if i not in ppl_idx]
-    cross = list(product(ppl_idx, down_idx))
-    pairs = []
-    for i, j in cross:
-        cell = None if am.degenerate[i, j] else float(am.values[i, j])
-        pairs.append({"ppl": ids[i], "benchmark": ids[j], "tau": cell})
-    return {
-        "ppl_benchmarks": [ids[i] for i in ppl_idx],
-        "ppl_vs_ppl_mean": _defined_mean(am, combinations(ppl_idx, 2))[0],
-        "ppl_vs_downstream_mean": _defined_mean(am, cross)[0],
-        "pairs": pairs,
+    down_idx = [i for i in range(n) if i not in ppl_idx]
+    cross = _pair_cells(n, ppl_idx, down_idx)
+    groups = [_pair_cells(n, range(n)), _pair_cells(n, ppl_idx), cross]
+    means, kept, _ = _grouped_means(am, np.concatenate(groups), [len(cells) for cells in groups])
+    overall, ppl_vs_ppl, ppl_vs_downstream = (v if k else None for v, k in zip(means.tolist(), kept.tolist()))
+    taus, skipped = am.values.ravel()[cross].tolist(), am.degenerate.ravel()[cross].tolist()
+    block = {
+        "ppl_benchmarks": list(ppl),
+        "ppl_vs_ppl_mean": ppl_vs_ppl,
+        "ppl_vs_downstream_mean": ppl_vs_downstream,
+        "pairs": [
+            {"ppl": ids[i], "benchmark": ids[j], "tau": None if skip else tau}
+            for (i, j), tau, skip in zip(product(ppl_idx, down_idx), taus, skipped)
+        ],
     }
+    return overall, block
 
 
 def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
@@ -396,17 +407,18 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     # every table is computed, in this order, before any is rendered; each file is named by its kind
     tables = {}
     means = {name: mean_agreement(am) for name, am in ams.items()}
+    summaries = {name: _summary_means(am, ppl) for name, am in ams.items()}
     tables["mean_agreement"] = {
         "benchmark_ids": list(m_direct.benchmark_ids),
         "modes": {
             name: {
-                "means": [float(v) for v in res.means],
-                "n_excluded": [int(k) for k in res.n_excluded],
-                "overall_mean": _defined_mean(ams[name])[0],
+                "means": res.means.tolist(),
+                "n_excluded": res.n_excluded.tolist(),
+                "overall_mean": summaries[name][0],
             }
             for name, res in means.items()
         },
-        "perplexity_block": {name: _perplexity_block(am, ppl) for name, am in ams.items()} if ppl else None,
+        "perplexity_block": {name: block for name, (_, block) in summaries.items()} if ppl else None,
     }
 
     cat_results = {name: category_agreement(am, cats) for name, am in ams.items()}
@@ -415,7 +427,7 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         "modes": {
             name: {
                 "values": _matrix_cells(res.values, res.undefined),
-                "n_excluded": [[int(v) for v in row] for row in res.n_excluded],
+                "n_excluded": res.n_excluded.tolist(),
             }
             for name, res in cat_results.items()
         },
@@ -425,8 +437,8 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
         "preprocessing": "center",
         "modes": {
             name: {
-                "eigenvalues": [float(v) for v in res.eigenvalues],
-                "explained_variance_ratio": [float(v) for v in res.evr],
+                "eigenvalues": res.eigenvalues.tolist(),
+                "explained_variance_ratio": res.evr.tolist(),
                 "top5_share": explained_variance_share(res, min(5, res.n_components)),
             }
             for name, res in pcas.items()
@@ -434,15 +446,17 @@ def _cmd_report(args, manifest: RunManifest) -> list[tuple[Path, str]]:
     }
 
     flops_by_model = {rec.model_id: rec.flops for rec in compute_records}
+    with_flops = [(j, mod) for j, mod in enumerate(m_direct.model_ids) if mod in flops_by_model]
+    log10_flops = np.log10([flops_by_model[mod] for _, mod in with_flops]).tolist()
+    pc1_direct, pc1_tbt = pcas["direct"].pc1_scores.tolist(), pcas["train_before_test"].pc1_scores.tolist()
     models = [
         {
             "model": mod,
-            "log10_flops": float(np.log10(flops_by_model[mod])),
-            "pc1_direct": float(pcas["direct"].pc1_scores[j]),
-            "pc1_train_before_test": float(pcas["train_before_test"].pc1_scores[j]),
+            "log10_flops": log,
+            "pc1_direct": pc1_direct[j],
+            "pc1_train_before_test": pc1_tbt[j],
         }
-        for j, mod in enumerate(m_direct.model_ids)
-        if mod in flops_by_model
+        for (j, mod), log in zip(with_flops, log10_flops)
     ]
     taus = {}
     for name, res in pcas.items():

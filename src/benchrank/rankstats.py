@@ -45,14 +45,18 @@ and the bisection then finishes that bracket.  Only the band pairs
 inversion count of its two rankings and read no signs.)
 
 Undefined correlations are reported as :data:`~benchrank.core.DEGENERATE`,
-never NaN, and every aggregation skips such cells and counts them.
+never NaN, and every aggregation skips such cells and counts them.  The
+aggregations are one primitive, ``_grouped_means``: groups of cells given
+as flat indices plus group sizes, read with one gather, each group's mean
+``np.mean`` of its kept cells in the order given, bit for bit.
+``mean_agreement``, ``category_agreement``, ``_defined_mean`` and the
+report's overall and perplexity means each take one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
 from statistics import NormalDist
 
 import numpy as np
@@ -362,17 +366,60 @@ def agreement_matrix(m: ScoreMatrix, method: str = "tau", cfg: SignificanceConfi
     return AgreementMatrix(benchmark_ids=m.benchmark_ids, values=values, degenerate=degenerate)
 
 
+def _pair_cells(n: int, rows, cols=None) -> np.ndarray:
+    """Flat indices i * n + j of an (n, n) matrix's cells (i, j) in ``product(rows, cols)`` order.
+
+    Without ``cols``, the cells of ``combinations(rows, 2)``, in that order.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if cols is not None:
+        return (rows[:, None] * n + np.asarray(cols, dtype=np.intp)).ravel()
+    at = np.arange(len(rows))
+    return (rows[:, None] * n + rows)[at[:, None] < at]
+
+
+def _grouped_means(am: AgreementMatrix, cells, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean of each group's non-degenerate cells, with its kept and skipped counts.
+
+    ``cells`` holds flat indices i * n + j of the matrix's cells, and group g
+    is the ``sizes[g]`` cells after group g - 1's.  A group's mean equals
+    ``np.mean`` of its kept cells in the order given, bit for bit: the kept
+    cells are put in a stable order by their group's kept count, so the
+    groups that keep k cells are the rows of one C-ordered (groups, k)
+    block, and ``mean(axis=1)`` sums each row as ``np.mean`` sums one
+    vector (pairwise).  A group that keeps no cell has mean 0.0.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    skipped = am.degenerate.ravel()[cells]
+    excluded = np.bincount(group[skipped], minlength=len(sizes))
+    kept = sizes - excluded
+    live = ~skipped
+    values = am.values.ravel()[cells[live]]
+    values = values[np.argsort(kept[group[live]], kind="stable")]
+    means = np.zeros(len(sizes))
+    n_groups = np.bincount(kept[kept > 0])  # by k, the number of groups that keep k cells
+    start = 0
+    for k in np.flatnonzero(n_groups).tolist():
+        stop = start + k * int(n_groups[k])
+        means[kept == k] = values[start:stop].reshape(-1, k).mean(axis=1)
+        start = stop
+    return means, kept, excluded
+
+
 def _defined_mean(am: AgreementMatrix, cells=None) -> tuple[float | None, int]:
     """Mean of the non-degenerate (i, j) ``cells``, in the order given, and the number skipped.
 
     ``cells`` defaults to every pair i < j, row by row; the mean is None when no cell is defined.
     """
+    nb = am.n_benchmarks
     if cells is None:
-        cells = combinations(range(am.n_benchmarks), 2)
-    rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
-    skipped = am.degenerate[rows, cols]
-    kept = am.values[rows, cols][~skipped]
-    return (float(np.mean(kept)) if kept.size else None), int(skipped.sum())
+        flat = _pair_cells(nb, range(nb))
+    else:
+        rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+        flat = rows * nb + cols
+    means, kept, excluded = _grouped_means(am, flat, [len(flat)])
+    return (float(means[0]) if kept[0] else None), int(excluded[0])
 
 
 def mean_agreement(am: AgreementMatrix) -> MeanAgreement:
@@ -381,24 +428,17 @@ def mean_agreement(am: AgreementMatrix) -> MeanAgreement:
     Degenerate cells are excluded from the mean and counted per row; a row
     with no defined off-diagonal cell at all raises
     :class:`~benchrank.core.DegenerateError`, naming the first such row.
-    Each row's kept cells are summed in column order as ``np.mean`` sums
-    them (pairwise), so a mean equals ``np.mean`` of that row's kept cells.
+    Each row's kept cells are averaged in column order by
+    :func:`_grouped_means`, so a mean equals ``np.mean`` of that row's kept cells.
     """
     nb = am.n_benchmarks
     if nb < 2:
         raise ValueError("need at least 2 benchmarks")
-    off = ~np.eye(nb, dtype=bool)
-    values, skipped = am.values[off].reshape(nb, nb - 1), am.degenerate[off].reshape(nb, nb - 1)
-    excluded = skipped.sum(axis=1, dtype=np.int64)
-    kept = nb - 1 - excluded
+    means, kept, excluded = _grouped_means(am, np.flatnonzero(~np.eye(nb, dtype=bool)), np.full(nb, nb - 1))
     if not kept.all():
         raise DegenerateError(
             f"benchmark {am.benchmark_ids[kept.argmin()]!r}: every off-diagonal agreement cell is degenerate"
         )
-    means = np.empty(nb)
-    for k in set(kept.tolist()):  # the rows with k kept cells, as one C-ordered (rows, k) block
-        rows = kept == k
-        means[rows] = values[rows][~skipped[rows]].reshape(-1, k).mean(axis=1)
     means.setflags(write=False)
     excluded.setflags(write=False)
     return MeanAgreement(benchmark_ids=am.benchmark_ids, means=means, n_excluded=excluded)
@@ -410,7 +450,9 @@ def category_agreement(am: AgreementMatrix, cats: list[BenchmarkRecord]) -> Cate
     Off-diagonal entries average all pairs (a in c1, b in c2); diagonal
     entries average unordered distinct pairs inside the category
     (self-pairs excluded).  Every benchmark in the matrix must carry a
-    category.  Categories appear in their canonical order.
+    category.  Categories appear in their canonical order.  Each entry is
+    ``np.mean`` of its defined cells in ``product`` or ``combinations``
+    order, all from one :func:`_grouped_means` call.
     """
     by_benchmark = {}
     for rec in cats:
@@ -420,22 +462,19 @@ def category_agreement(am: AgreementMatrix, cats: list[BenchmarkRecord]) -> Cate
     missing = [b for b in am.benchmark_ids if b not in by_benchmark]
     if missing:
         raise ValueError(f"benchmarks without a category: {missing}")
-    present = [c for c in CATEGORIES if any(by_benchmark[b] == c for b in am.benchmark_ids)]
-    members = {c: [i for i, b in enumerate(am.benchmark_ids) if by_benchmark[b] == c] for c in present}
-    nc = len(present)
-    values = np.zeros((nc, nc), dtype=float)
-    undefined = np.zeros((nc, nc), dtype=bool)
-    excluded = np.zeros((nc, nc), dtype=np.int64)
-    for ci in range(nc):
-        for cj in range(ci, nc):
-            rows, cols = members[present[ci]], members[present[cj]]
-            cells = combinations(rows, 2) if ci == cj else product(rows, cols)
-            mean, excluded[ci, cj] = _defined_mean(am, cells)
-            excluded[cj, ci] = excluded[ci, cj]
-            if mean is None:
-                undefined[ci, cj] = undefined[cj, ci] = True
-            else:
-                values[ci, cj] = values[cj, ci] = mean
+    category = [by_benchmark[b] for b in am.benchmark_ids]
+    present = [c for c in CATEGORIES if c in category]
+    nb, nc = am.n_benchmarks, len(present)
+    code = np.array([present.index(c) for c in category], dtype=np.intp)
+    # cell (i, j) goes to category pair (code[i], code[j]) when i's category comes first, or i < j in one category
+    rank = code * nb + np.arange(nb)
+    cells = np.flatnonzero(rank[:, None] < rank)
+    pair = (code[:, None] * nc + code).ravel()[cells]
+    by_pair = np.argsort(pair, kind="stable")  # row by row within a pair: product and combinations order
+    means, kept, excluded = _grouped_means(am, cells[by_pair], np.bincount(pair, minlength=nc * nc))
+    at = np.arange(nc)
+    upper = np.minimum(at[:, None], at) * nc + np.maximum(at[:, None], at)  # entries (c1, c2) and (c2, c1) read one group
+    values, undefined, excluded = means[upper], kept[upper] == 0, excluded[upper]
     for arr in (values, undefined, excluded):
         arr.setflags(write=False)
     return CategoryAgreement(

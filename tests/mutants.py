@@ -244,15 +244,20 @@ MUTANTS = [
     Mutant(
         "category-diagonal-swapped",
         "src/benchrank/rankstats.py",
-        "cells = combinations(rows, 2) if ci == cj else product(rows, cols)",
-        "cells = combinations(rows, 2) if ci != cj else product(rows, cols)",
-        tests=CLI_TESTS,
+        "rank = code * nb + np.arange(nb)",
+        "rank = code * nb - np.arange(nb)",
+    ),
+    Mutant(
+        "category-pairs-unstable-order",
+        "src/benchrank/rankstats.py",
+        'by_pair = np.argsort(pair, kind="stable")',
+        "by_pair = np.argsort(pair)",
     ),
     Mutant(
         "perplexity-block-of-direct-mode",
         "src/benchrank/cli.py",
-        "_perplexity_block(am, ppl) for name, am in ams.items()",
-        '_perplexity_block(ams["direct"], ppl) for name in ams',
+        "_summary_means(am, ppl) for name, am in ams.items()",
+        '_summary_means(ams["direct"], ppl) for name in ams',
         tests=CLI_TESTS,
     ),
     Mutant(
@@ -380,14 +385,20 @@ MUTANTS = [
     Mutant(
         "mean-agreement-excluded-down-columns",
         "src/benchrank/rankstats.py",
-        "excluded = skipped.sum(axis=1, dtype=np.int64)",
-        "excluded = skipped.sum(axis=0, dtype=np.int64)",
+        "skipped = am.degenerate.ravel()[cells]",
+        "skipped = am.degenerate.T.ravel()[cells]",
     ),
     Mutant(
         "mean-agreement-names-last-dead-row",
         "src/benchrank/rankstats.py",
         "am.benchmark_ids[kept.argmin()]",
         "am.benchmark_ids[nb - 1 - kept[::-1].argmin()]",
+    ),
+    Mutant(
+        "grouped-means-unstable-order",
+        "src/benchrank/rankstats.py",
+        'values[np.argsort(kept[group[live]], kind="stable")]',
+        "values[np.argsort(kept[group[live]])]",
     ),
     Mutant(
         "mean-agreement-strided-block",

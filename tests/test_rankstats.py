@@ -3,7 +3,7 @@ import dataclasses
 import math
 import operator
 import re
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from statistics import NormalDist
 from unittest import mock
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from benchrank import rankstats
 from benchrank.alignment import AlignmentError, build_partial_order
-from benchrank.core import DEGENERATE, AgreementMatrix, BenchmarkRecord, DegenerateError, make_score_matrix
+from benchrank.core import CATEGORIES, DEGENERATE, AgreementMatrix, BenchmarkRecord, DegenerateError, make_score_matrix
 from benchrank.rankstats import (
     SignificanceConfig,
     TieError,
@@ -537,6 +537,54 @@ class TestMeanAgreementExactness:
         assert np.array_equal(res.means, [_defined_mean(am, row)[0] for row in cells])
         assert res.n_excluded.dtype == np.int64 and res.n_excluded.tolist() == excluded
         assert not res.means.flags.writeable and not res.n_excluded.flags.writeable
+
+
+@st.composite
+def agreement_with_categories(draw):
+    """An :func:`agreement_with_holes` matrix and one category per benchmark, drawn from a few of the
+    canonical ones so that categories interleave in id order and some hold one benchmark."""
+    am = draw(agreement_with_holes())
+    names = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=len(CATEGORIES), unique=True))
+    return am, draw(st.lists(st.sampled_from(names), min_size=am.n_benchmarks, max_size=am.n_benchmarks))
+
+
+def _exactness_example():
+    """140 benchmarks: a singleton category (LU) whose pairs with CR are all degenerate, two categories of 3
+    (CR, QA) whose cross cell keeps 9 cells, and one of 133 (Math) whose diagonal keeps 8,778."""
+    values = np.arange(140.0 * 140.0).reshape(140, 140) ** 3 / 7.0
+    degenerate = np.zeros((140, 140), dtype=bool)
+    degenerate[0, 1:4] = degenerate[1:4, 0] = True
+    values[degenerate] = np.nan
+    return hand_matrix(values, degenerate=degenerate), ["LU"] + ["CR"] * 3 + ["QA"] * 3 + ["Math"] * 133
+
+
+class TestCategoryAgreementExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(agreement_with_categories())
+    @example(_exactness_example())
+    def test_each_cell_is_np_mean_of_its_kept_cells(self, drawn):
+        am, category = drawn
+        cats = [BenchmarkRecord(b, c) for b, c in zip(am.benchmark_ids, category)]
+        present = [c for c in CATEGORIES if c in category]
+        members = {c: [i for i, ci in enumerate(category) if ci == c] for c in present}
+        res = category_agreement(am, cats[::-1])
+        assert res.categories == tuple(present)
+        for (a, c1), (b, c2) in product(enumerate(present), repeat=2):
+            first, second = sorted((a, b))
+            rows, cols = members[present[first]], members[present[second]]
+            cells = list(combinations(rows, 2) if first == second else product(rows, cols))
+            kept = [am.values[i, j] for i, j in cells if not am.degenerate[i, j]]
+            assert res.n_excluded[a, b] == len(cells) - len(kept)
+            assert res.undefined[a, b] == (not kept)
+            assert res.values[a, b] == (np.mean(kept) if kept else 0.0)
+            if kept:
+                assert res.entry(c1, c2) == np.mean(kept)
+        assert res.n_excluded.dtype == np.int64
+        for arr in (res.values, res.undefined, res.n_excluded):
+            assert not arr.flags.writeable
+
+    def test_no_cells_have_no_mean(self):
+        assert _defined_mean(hand_matrix(np.eye(3)), []) == (None, 0)
 
 
 class TestCategoryAgreement:
